@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core import QuantMCUPipeline
 from repro.models import build_model
+from repro.runtime import ExecutionPolicy, threads
 from repro.serving import (
     InferenceEngine,
     ModelSpec,
@@ -69,7 +70,10 @@ def _naive_serve(compiled, xs: np.ndarray) -> TelemetryRecorder:
 
 def _engine_serve(compiled, xs: np.ndarray) -> TelemetryRecorder:
     with InferenceEngine(
-        compiled, max_batch_size=8, batch_timeout_s=0.002, parallel_patches=True
+        compiled,
+        max_batch_size=8,
+        batch_timeout_s=0.002,
+        policy=ExecutionPolicy(placement=threads()),
     ) as engine:
         futures = [engine.submit(xs[i]) for i in range(len(xs))]
         for future in futures:

@@ -281,6 +281,7 @@ def run_stale_halo_bench(
         make_cluster,
     )
     from ..models import build_model
+    from ..runtime import ExecutionPolicy
 
     rng = np.random.default_rng(0)
     model = build_model(
@@ -359,7 +360,7 @@ def run_stale_halo_bench(
         ) as executor:
             reference = [executor.forward(x) for x in batches]
             verify_sched = PipelineParallelScheduler(
-                executor, halo_mode="displaced", accuracy_mode="verify_patch"
+                executor, policy=ExecutionPolicy(tier="displaced")
             )
             started = time.perf_counter()
             outputs = verify_sched.run(batches)
@@ -372,10 +373,7 @@ def run_stale_halo_bench(
             corrected = sum(r.corrected_branches for r in verify_sched.rounds)
             total = sum(r.total_branches for r in verify_sched.rounds if r.displaced)
             stale_sched = PipelineParallelScheduler(
-                executor,
-                halo_mode="displaced",
-                accuracy_mode="stale_halo",
-                drift_sample_every=2,
+                executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=2)
             )
             started = time.perf_counter()
             stale_sched.run(batches)

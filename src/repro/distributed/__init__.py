@@ -18,7 +18,8 @@ cluster and scales serving beyond one device:
 
 The matching hardware model (:class:`~repro.hardware.cluster.ClusterSpec`,
 makespan estimates) lives in :mod:`repro.hardware.cluster`; the serving
-integration is ``InferenceEngine(..., cluster=...)``.
+integration is
+``InferenceEngine(..., policy=ExecutionPolicy(placement=cluster(spec)))``.
 
 Quickstart::
 

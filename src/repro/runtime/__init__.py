@@ -6,10 +6,8 @@
 
 * :class:`ExecutionPolicy` — a single validated, immutable description of
   how to execute: placement (:func:`local` | :func:`threads` |
-  :func:`cluster`), kernel backend, freshness tier — replacing the scattered
-  ``parallel_patches``/``cluster``/``backend``/``accuracy_mode`` keyword
-  plumbing (kept as deprecated shims through
-  :meth:`ExecutionPolicy.resolve`).
+  :func:`cluster`), kernel backend, freshness tier.  It is the only
+  execution surface: every entry point takes ``policy=`` and nothing else.
 * :class:`Runtime` — a shared, thread-safe resource registry owning thread
   pools, fork pools and shared-memory segments, handing out leased handles
   so executors stop privately constructing pools.  Two engines given one

@@ -41,7 +41,7 @@ from typing import Hashable
 import numpy as np
 
 from ..distributed.planner import ShardPlanner
-from ..hardware.cluster import ClusterSpec, estimate_cluster_serving_latency
+from ..hardware.cluster import estimate_cluster_serving_latency
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
 from ..runtime.policy import ExecutionPolicy
@@ -112,23 +112,14 @@ class InferenceEngine:
     batch_timeout_s:
         Flush a group once its oldest request has waited this long, even if
         the batch is not full.
-    parallel_patches:
-        Deprecated: run the patch stage of each flush through the
-        patch-parallel worker pool (bit-identical to sequential execution).
-        Pass ``policy=ExecutionPolicy(placement=threads())`` instead.
-    cluster:
-        Deprecated: optional :class:`~repro.hardware.cluster.ClusterSpec`;
-        flushes then dispatch through the multi-device patch-sharded executor
-        (also bit-identical), and the modelled telemetry latency switches to
-        the cluster makespan model.  Mutually exclusive with
-        ``parallel_patches`` (a cluster already owns the parallelism
-        structure).  Pass ``policy=ExecutionPolicy(placement=cluster(spec))``
-        instead.
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
         executes under — the one description of placement, kernel backend and
-        freshness tier.  Mutually exclusive with the deprecated
-        ``parallel_patches``/``cluster`` keywords.
+        freshness tier (default: local, exact).  ``threads()`` runs each
+        flush's patch stage on the patch-parallel worker pool and
+        ``cluster(spec)`` on the multi-device patch-sharded executor (both
+        bit-identical to local execution); under a cluster placement the
+        modelled telemetry latency switches to the cluster makespan model.
     runtime:
         Optional shared :class:`~repro.runtime.Runtime`; executors built for
         this engine lease their pools from it, so two engines given the same
@@ -137,7 +128,7 @@ class InferenceEngine:
     device:
         Optional MCU target; attaches an amortized modelled per-request
         on-device latency to the telemetry.  Ignored for the compute model
-        when ``cluster`` is set (the cluster's own devices are used).
+        under a cluster placement (the cluster's own devices are used).
     telemetry:
         Recorder to use; a fresh one is created by default.
     """
@@ -147,21 +138,12 @@ class InferenceEngine:
         pipelines: CompiledPipeline | PipelineCache,
         max_batch_size: int = 8,
         batch_timeout_s: float = 0.005,
-        parallel_patches: bool = False,
-        cluster: ClusterSpec | None = None,
         device: MCUDevice | None = None,
         telemetry: TelemetryRecorder | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> None:
-        legacy: dict = {}
-        if parallel_patches:
-            legacy["parallel_patches"] = True
-        if cluster is not None:
-            legacy["cluster"] = cluster
-        # The historical parallel_patches × cluster ValueError (and every
-        # other invalid combination) is checked inside resolve(), once.
-        self.policy = ExecutionPolicy.resolve(policy, **legacy)
+        self.policy = policy if policy is not None else ExecutionPolicy()
         if self.policy.tier == "displaced":
             raise ValueError(
                 "the 'displaced' tier is a pipeline-parallel schedule over "
@@ -183,9 +165,7 @@ class InferenceEngine:
             self._default_key = None
         self.max_batch_size = max_batch_size
         self.batch_timeout_s = batch_timeout_s
-        # Legacy read-only views derived from the policy (kept because
-        # callers and telemetry dashboards introspect them).
-        self.parallel_patches = self.policy.placement.kind == "threads"
+        # The cluster the latency model charges (None off cluster placement).
         self.cluster = self.policy.placement.cluster
         self._runtime = runtime
         self.device = device
@@ -273,18 +253,15 @@ class InferenceEngine:
     def open_stream(
         self,
         key: Hashable | None = None,
-        accuracy_mode: str = "exact",
-        drift_sample_every: int = 0,
-        max_stale_frames: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> StreamSession:
         """Open a streaming session against one of this engine's pipelines.
 
         The returned :class:`~repro.streaming.StreamSession` serves successive
         frames of one video/sensor stream with incremental patch
-        recomputation — bit-identical to full recomputation in the default
-        ``accuracy_mode="exact"`` — using the same execution mode
-        (``parallel_patches`` / ``cluster``) as batched requests.  Frames are
+        recomputation.  ``policy`` defaults to the engine's own, so placement
+        and backend follow batched requests; under the default ``exact`` tier
+        every frame is bit-identical to full recomputation.  Frames are
         processed synchronously in the caller's thread: a stream is stateful
         (each frame diffs against the previous one), so its frames cannot be
         re-ordered or batched with other traffic.  Every processed frame
@@ -292,25 +269,14 @@ class InferenceEngine:
         (``stream_frames``, ``stream_branches_executed``,
         ``stream_branches_reused``, ``stream_reuse_rate``).
 
-        ``accuracy_mode="stale_halo"`` opts the stream into the approximate
-        tier (halo-only-dirty branches served stale, bounded by
+        A ``stale_halo`` policy opts the stream into the approximate tier
+        (halo-only-dirty branches served stale, bounded by the policy's
         ``max_stale_frames``); its stale tile counts land in
         ``stream_branches_stale`` and every drift sample (taken each
         ``drift_sample_every`` frames) updates ``stream_drift_samples`` /
         ``stream_max_drift_abs`` / ``stream_max_drift_rms``.
-
-        On the new surface, pass a ``policy`` whose freshness tier describes
-        the stream (it defaults to the engine's policy, so placement and
-        backend follow batched requests unless overridden).
         """
-        legacy: dict = {}
-        if accuracy_mode != "exact":
-            legacy["accuracy_mode"] = accuracy_mode
-        if drift_sample_every:
-            legacy["drift_sample_every"] = drift_sample_every
-        if max_stale_frames is not None:
-            legacy["max_stale_frames"] = max_stale_frames
-        stream_policy = ExecutionPolicy.resolve(policy, base=self.policy, **legacy)
+        stream_policy = policy if policy is not None else self.policy
         if self._closed:
             raise EngineClosed("engine is closed")
         if key is None:
@@ -525,7 +491,7 @@ class InferenceEngine:
         """Branch→device assignment of the attached cluster for ``pipeline``.
 
         Planned directly (and memoized by fingerprint) rather than read off
-        ``pipeline.executor(cluster=...)``: the planner is deterministic, so
+        the pipeline's cluster executor: the planner is deterministic, so
         the assignment is identical to the one a flush's executor uses, and
         no :class:`~repro.distributed.DistributedExecutor` (with its device
         worker pools) is constructed just to model latency.

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
 from ..distributed.executor import DistributedExecutor
-from ..hardware.cluster import ClusterSpec
 from ..models import build_model
 from ..nn import Graph
 from ..patch.executor import PatchExecutor
@@ -46,6 +45,8 @@ from ..streaming.session import StreamSession
 from .parallel import ParallelPatchExecutor
 
 __all__ = ["ModelSpec", "CompiledPipeline", "compile_pipeline"]
+
+_DEFAULT_POLICY = ExecutionPolicy()
 
 
 @dataclass(frozen=True)
@@ -146,22 +147,17 @@ class CompiledPipeline:
         # The shared resource runtime every executor leases pools from; None
         # means each executor manages a private runtime (historical lifecycle).
         self._runtime = runtime
-        self._sequential = PatchExecutor(
+        # The default executor: local placement, the pipeline's backend and
+        # runtime.  Built eagerly so the common path never takes the lock.
+        self._default = PatchExecutor(
             plan,
             branch_hook=self._branch_hook,
             suffix_hook=self._suffix_hook,
             backend=backend,
             runtime=runtime,
         )
-        # Sequential executors for non-default (backend, runtime) policies.
-        self._sequential_variants: dict[tuple, PatchExecutor] = {}
-        self._parallel: ParallelPatchExecutor | None = None
-        self._parallel_key: tuple | None = None
-        # Parallel executors replaced by a max_workers change: a live
-        # StreamSession may still hold one (its lazily re-created pool must be
-        # shut down again by close()).
-        self._parallel_retired: list[ParallelPatchExecutor] = []
-        self._distributed: dict[tuple, DistributedExecutor] = {}
+        # Every other executor, keyed by (placement, backend, runtime token).
+        self._executors: dict[tuple, PatchExecutor] = {}
         self._executor_lock = threading.Lock()
 
     # ----------------------------------------------------------- construction
@@ -196,27 +192,8 @@ class CompiledPipeline:
         return cls(graph, plan, state, spec=spec, backend=backend, runtime=runtime)
 
     # ------------------------------------------------------------- inference
-    @staticmethod
-    def _legacy_executor_kwargs(
-        parallel: bool,
-        max_workers: int | None,
-        cluster: ClusterSpec | None,
-    ) -> dict:
-        """Placement keywords a caller actually used (defaults stay silent)."""
-        legacy: dict = {}
-        if parallel:
-            legacy["parallel"] = True
-        if max_workers is not None:
-            legacy["max_workers"] = max_workers
-        if cluster is not None:
-            legacy["cluster"] = cluster
-        return legacy
-
     def executor(
         self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> PatchExecutor:
@@ -225,92 +202,55 @@ class CompiledPipeline:
         ``policy`` selects placement and kernel backend (see
         :class:`~repro.runtime.ExecutionPolicy`); ``runtime`` overrides the
         resource runtime executors lease pools from (defaults to the
-        pipeline's).  The ``parallel``/``max_workers``/``cluster`` keywords
-        are the deprecated legacy surface mapped through
-        :meth:`~repro.runtime.ExecutionPolicy.resolve`.
-        """
-        policy = ExecutionPolicy.resolve(
-            policy, **self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        )
-        return self._executor_for(policy, runtime)
-
-    def _executor_for(
-        self, policy: ExecutionPolicy, runtime: Runtime | None = None
-    ) -> PatchExecutor:
-        """Build (or serve from cache) the executor a policy describes.
-
-        Caches are keyed by placement identity *plus* backend name and
-        runtime token, so ``policy.backend`` overrides and injected runtimes
-        get their own executors instead of silently reusing one built for a
-        different backend or pool set.
+        pipeline's).  Executors are cached per ``(placement, backend,
+        runtime)`` and live until :meth:`close`.
         """
         runtime = runtime if runtime is not None else self._runtime
+        policy = policy if policy is not None else _DEFAULT_POLICY
         backend = policy.backend if policy.backend is not None else self._backend_spec
-        token = runtime.token if runtime is not None else None
         placement = policy.placement
-        if placement.kind == "cluster":
-            key = (placement.cluster.cache_key, backend, token)
-            with self._executor_lock:
-                executor = self._distributed.get(key)
-                if executor is None:
+        if (
+            placement.kind == "local"
+            and backend == self._backend_spec
+            and runtime is self._runtime
+        ):
+            return self._default
+        key = (placement.cache_key, backend, runtime.token if runtime is not None else None)
+        with self._executor_lock:
+            executor = self._executors.get(key)
+            if executor is None:
+                hooks = {"branch_hook": self._branch_hook, "suffix_hook": self._suffix_hook}
+                if placement.kind == "cluster":
                     executor = DistributedExecutor(
-                        self.plan,
-                        placement.cluster,
-                        branch_hook=self._branch_hook,
-                        suffix_hook=self._suffix_hook,
-                        backend=backend,
-                        runtime=runtime,
+                        self.plan, placement.cluster, backend=backend, runtime=runtime, **hooks
                     )
-                    self._distributed[key] = executor
-                return executor
-        if placement.kind == "threads":
-            key = (placement.max_workers, backend, token)
-            with self._executor_lock:
-                replace = self._parallel is not None and (
-                    (
-                        placement.max_workers is not None
-                        and self._parallel.max_workers != placement.max_workers
-                    )
-                    or self._parallel_key[1:] != key[1:]
-                )
-                if self._parallel is None or replace:
-                    if self._parallel is not None:
-                        self._parallel.close()
-                        self._parallel_retired.append(self._parallel)
-                    self._parallel = ParallelPatchExecutor(
+                elif placement.kind == "threads":
+                    executor = ParallelPatchExecutor(
                         self.plan,
-                        branch_hook=self._branch_hook,
-                        suffix_hook=self._suffix_hook,
                         max_workers=placement.max_workers,
                         backend=backend,
                         runtime=runtime,
+                        **hooks,
                     )
-                    self._parallel_key = key
-                return self._parallel
-        # Local placement: the eagerly-built sequential executor, unless the
-        # policy asks for a different backend or runtime than the pipeline's.
-        if backend == self._backend_spec and runtime is self._runtime:
-            return self._sequential
-        key = (backend, token)
-        with self._executor_lock:
-            executor = self._sequential_variants.get(key)
-            if executor is None:
-                executor = PatchExecutor(
-                    self.plan,
-                    branch_hook=self._branch_hook,
-                    suffix_hook=self._suffix_hook,
-                    backend=backend,
-                    runtime=runtime,
-                )
-                self._sequential_variants[key] = executor
+                else:
+                    executor = PatchExecutor(
+                        self.plan, backend=backend, runtime=runtime, **hooks
+                    )
+                self._executors[key] = executor
             return executor
+
+    @staticmethod
+    def _reject_displaced(policy: ExecutionPolicy | None, surface: str) -> None:
+        if policy is not None and policy.tier == "displaced":
+            raise ValueError(
+                "the 'displaced' tier is a pipeline-parallel schedule over "
+                "micro-batches; drive it through PipelineParallelScheduler, "
+                f"not {surface}"
+            )
 
     def infer(
         self,
         x: np.ndarray,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> np.ndarray:
@@ -321,17 +261,9 @@ class CompiledPipeline:
         tier is a pipeline-parallel schedule and is rejected (drive it
         through :class:`~repro.distributed.PipelineParallelScheduler`).
         """
-        policy = ExecutionPolicy.resolve(
-            policy, **self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        )
-        if policy.tier == "displaced":
-            raise ValueError(
-                "the 'displaced' tier is a pipeline-parallel schedule over "
-                "micro-batches; drive it through PipelineParallelScheduler, "
-                "not CompiledPipeline.infer"
-            )
+        self._reject_displaced(policy, "CompiledPipeline.infer")
         try:
-            return self._executor_for(policy, runtime).forward(x)
+            return self.executor(policy, runtime).forward(x)
         finally:
             self._clear_layer_caches()
 
@@ -346,12 +278,6 @@ class CompiledPipeline:
 
     def open_stream(
         self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
-        accuracy_mode: str = "exact",
-        drift_sample_every: int = 0,
-        max_stale_frames: int | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> StreamSession:
@@ -359,39 +285,23 @@ class CompiledPipeline:
 
         Successive frames fed to the session recompute only the patch
         branches whose input regions changed, bit-identical to full
-        recomputation (see :mod:`repro.streaming`).  ``parallel`` and
-        ``cluster`` pick the executor exactly as :meth:`infer` does; the
-        executor is owned (and eventually closed) by the pipeline, so the
-        session must not outlive it.
+        recomputation (see :mod:`repro.streaming`).  ``policy`` picks the
+        executor exactly as :meth:`infer` does; the executor is owned (and
+        eventually closed) by the pipeline, so the session must not outlive
+        it.
 
-        ``accuracy_mode="stale_halo"`` opts the stream into the approximate
-        tier: branches whose changes are confined to their halo are served
-        stale (bounded by ``max_stale_frames``), with drift vs the exact path
-        sampled every ``drift_sample_every`` frames — see
-        :class:`~repro.streaming.StreamSession`.
-
-        On the new surface, pass ``policy=`` instead: the policy's freshness
-        tier maps onto the stream's accuracy mode (``exact`` | ``stale_halo``;
-        the ``displaced`` tier belongs to the pipeline-parallel scheduler and
-        is rejected here).
+        The policy's freshness tier is the stream's accuracy mode: ``exact``
+        (default) or ``stale_halo``, where branches whose changes are
+        confined to their halo are served stale (bounded by
+        ``max_stale_frames``) with drift vs the exact path sampled every
+        ``drift_sample_every`` frames — see
+        :class:`~repro.streaming.StreamSession`.  The ``displaced`` tier
+        belongs to the pipeline-parallel scheduler and is rejected here.
         """
-        legacy = self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        if accuracy_mode != "exact":
-            legacy["accuracy_mode"] = accuracy_mode
-        if drift_sample_every:
-            legacy["drift_sample_every"] = drift_sample_every
-        if max_stale_frames is not None:
-            legacy["max_stale_frames"] = max_stale_frames
-        policy = ExecutionPolicy.resolve(policy, **legacy)
-        if policy.tier == "displaced":
-            raise ValueError(
-                "the 'displaced' tier is a pipeline-parallel schedule over "
-                "micro-batches; drive it through PipelineParallelScheduler, "
-                "not a stream"
-            )
-        executor = self._executor_for(policy, runtime)
+        policy = policy if policy is not None else _DEFAULT_POLICY
+        self._reject_displaced(policy, "a stream")
         session = StreamSession(
-            executor,
+            self.executor(policy, runtime),
             accuracy_mode=policy.tier,
             drift_sample_every=policy.drift_sample_every,
             max_stale_frames=policy.max_stale_frames,
@@ -407,20 +317,10 @@ class CompiledPipeline:
         the runtime itself is its owner's job.
         """
         with self._executor_lock:
-            self._sequential.close()
-            for executor in self._sequential_variants.values():
+            self._default.close()
+            for executor in self._executors.values():
                 executor.close()
-            self._sequential_variants.clear()
-            if self._parallel is not None:
-                self._parallel.close()
-                self._parallel = None
-                self._parallel_key = None
-            for executor in self._parallel_retired:
-                executor.close()  # a session may have lazily revived its pool
-            self._parallel_retired.clear()
-            for executor in self._distributed.values():
-                executor.close()
-            self._distributed.clear()
+            self._executors.clear()
 
     # ----------------------------------------------------------- fingerprint
     def _fingerprint(self) -> str:

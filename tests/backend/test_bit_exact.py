@@ -20,6 +20,7 @@ from fixtures import property_cases, quantize_zoo_model, random_property_graph
 from repro.backend import BackendUnavailable, MultiprocessBackend
 from repro.hardware import make_cluster
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
+from repro.runtime import ExecutionPolicy, cluster, threads
 from repro.serving.pipeline import CompiledPipeline
 
 #: The two golden zoo deployments (matching tests/golden/golden_cases.py).
@@ -53,10 +54,11 @@ class TestZooModelsBitExact:
             # Sequential.
             assert np.array_equal(vec.infer(x), reference)
             # Patch-parallel (chunk-per-worker over the vectorized kernel).
-            assert np.array_equal(vec.infer(x, parallel=True, max_workers=2), reference)
+            threaded = ExecutionPolicy(placement=threads(2))
+            assert np.array_equal(vec.infer(x, policy=threaded), reference)
             # Distributed (per-shard batched kernel on each simulated device).
-            cluster = make_cluster("stm32h743", 2)
-            assert np.array_equal(vec.infer(x, cluster=cluster), reference)
+            sharded = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+            assert np.array_equal(vec.infer(x, policy=sharded), reference)
 
             # Streaming (incremental recompute through stitch_tiles).
             frame0 = x[:1]

@@ -10,6 +10,7 @@ from fixtures import quantize_and_compile, quantize_zoo_model
 from repro.distributed import DistributedExecutor, PipelineParallelScheduler, ShardPlanner
 from repro.hardware import make_cluster
 from repro.patch import PatchExecutor, build_patch_plan
+from repro.runtime import ExecutionPolicy, Placement, cluster
 from repro.serving import InferenceEngine, ParallelPatchExecutor
 
 
@@ -85,15 +86,17 @@ def test_scheduler_rejects_bad_depth(residual_graph):
 
 
 def test_compiled_pipeline_distributed_inference_is_bit_exact(rng):
-    """CompiledPipeline.infer(cluster=...) matches sequential compiled inference,
-    and the executor is cached per cluster identity."""
+    """A cluster-placed CompiledPipeline.infer matches sequential compiled
+    inference, and the executor is cached per cluster identity."""
     _, _, compiled = quantize_and_compile()
     x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
     reference = compiled.infer(x)
-    cluster = make_cluster("stm32h743", 2)
-    assert np.array_equal(compiled.infer(x, cluster=cluster), reference)
-    first = compiled.executor(cluster=cluster)
-    again = compiled.executor(cluster=make_cluster("stm32h743", 2))
+    policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    assert np.array_equal(compiled.infer(x, policy=policy), reference)
+    first = compiled.executor(policy=policy)
+    again = compiled.executor(
+        policy=ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    )
     assert first is again  # same cluster identity -> cached executor
     compiled.close()
 
@@ -104,9 +107,9 @@ def test_engine_with_cluster_serves_bit_exact_batches(rng):
     _, _, compiled = quantize_and_compile()
     x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
     direct = compiled.infer(x)
-    cluster = make_cluster("stm32h743", 2)
+    policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
     with InferenceEngine(
-        compiled, max_batch_size=4, batch_timeout_s=10.0, cluster=cluster
+        compiled, max_batch_size=4, batch_timeout_s=10.0, policy=policy
     ) as engine:
         out = engine.infer(x)
     assert np.array_equal(out, direct)
@@ -116,9 +119,13 @@ def test_engine_with_cluster_serves_bit_exact_batches(rng):
 
 
 def test_engine_rejects_cluster_with_parallel_patches(rng):
+    """A cluster already owns the parallelism structure: no placement can ask
+    for both, and the removed ``parallel_patches``/``cluster`` keywords are
+    rejected rather than ignored."""
     _, _, compiled = quantize_and_compile()
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        InferenceEngine(
-            compiled, parallel_patches=True, cluster=make_cluster("stm32h743", 2)
-        )
+    spec = make_cluster("stm32h743", 2)
+    with pytest.raises(ValueError, match="does not take a cluster"):
+        Placement("threads", cluster=spec)
+    with pytest.raises(TypeError, match="parallel_patches"):
+        InferenceEngine(compiled, parallel_patches=True, cluster=spec)
     compiled.close()

@@ -1,8 +1,8 @@
 """Displaced (stale-halo) pipeline parallelism: correctness and lifecycle.
 
-Covers the two accuracy tiers of ``halo_mode="displaced"``:
+Covers the two displaced tiers of the scheduler's ``policy=``:
 
-* **verify_patch** must be bit-identical to ``[executor.forward(x) ...]`` on
+* **displaced** (verify-and-patch) must be bit-identical to ``[executor.forward(x) ...]`` on
   random graphs/grids/clusters and on both golden zoo models — displaced
   tiles keep their interior bits, corrected rims are spliced from a fresh
   full-shape recompute;
@@ -30,6 +30,11 @@ from repro.hardware import (
     make_cluster,
 )
 from repro.patch import build_patch_plan, candidate_split_nodes
+from repro.runtime import ExecutionPolicy
+from repro.runtime import cluster as cluster_placement
+
+#: The verify-and-patch schedule: displaced rounds, bit-identical outputs.
+DISPLACED = ExecutionPolicy(tier="displaced")
 
 
 def _random_plan(rng: np.random.Generator):
@@ -73,9 +78,7 @@ def test_displaced_verify_patch_is_bit_identical(seed):
     with DistributedExecutor(plan, cluster=cluster) as executor:
         batches = _microbatches(rng, plan, 5)
         expected = [executor.forward(x) for x in batches]
-        scheduler = PipelineParallelScheduler(
-            executor, halo_mode="displaced", accuracy_mode="verify_patch"
-        )
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         assert len(outputs) == len(batches)
         for out, ref in zip(outputs, expected):
@@ -94,7 +97,7 @@ def test_identical_frames_skip_every_correction():
     plan = _random_plan(rng)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run([frame] * 4)
         reference = executor.forward(frame)
         for out in outputs:
@@ -115,7 +118,7 @@ def test_shape_change_falls_back_to_a_fresh_round():
         rng.standard_normal((2, *shape)).astype(np.float32),
     ]
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         for out, x in zip(outputs, batches):
             assert np.array_equal(out, executor.forward(x))
@@ -129,10 +132,12 @@ def test_zoo_models_verify_patch_bit_identical(model_name, resolution):
     _, _, compiled = quantize_and_compile(model_name=model_name, resolution=resolution)
     try:
         rng = np.random.default_rng(17)
-        executor = compiled.executor(cluster=make_cluster("stm32h743", 4))
+        executor = compiled.executor(
+            policy=ExecutionPolicy(placement=cluster_placement(make_cluster("stm32h743", 4)))
+        )
         batches = _microbatches(rng, compiled.plan, 4)
         expected = [compiled.infer(x) for x in batches]
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         for out, ref in zip(outputs, expected):
             assert np.array_equal(out, ref)
@@ -148,10 +153,7 @@ def test_stale_halo_records_drift_samples():
     batches = _microbatches(rng, plan, 6)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 3)) as executor:
         scheduler = PipelineParallelScheduler(
-            executor,
-            halo_mode="displaced",
-            accuracy_mode="stale_halo",
-            drift_sample_every=2,
+            executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=2)
         )
         outputs = scheduler.run(batches)
         assert len(outputs) == len(batches)
@@ -175,10 +177,7 @@ def test_stale_halo_identical_frames_have_zero_drift():
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
         scheduler = PipelineParallelScheduler(
-            executor,
-            halo_mode="displaced",
-            accuracy_mode="stale_halo",
-            drift_sample_every=1,
+            executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=1)
         )
         outputs = scheduler.run([frame] * 4)
         reference = executor.forward(frame)
@@ -189,15 +188,26 @@ def test_stale_halo_identical_frames_have_zero_drift():
 
 
 def test_scheduler_validates_modes():
+    """The schedule is chosen only through ``policy=``: bad tiers and drift
+    settings fail when the policy is built, and the removed
+    ``halo_mode``/``accuracy_mode``/``drift_sample_every`` keywords are
+    rejected rather than ignored."""
     rng = np.random.default_rng(1)
     plan = _random_plan(rng)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        with pytest.raises(ValueError, match="halo_mode"):
-            PipelineParallelScheduler(executor, halo_mode="psychic")
-        with pytest.raises(ValueError, match="accuracy_mode"):
-            PipelineParallelScheduler(executor, accuracy_mode="yolo")
+        with pytest.raises(ValueError, match="tier"):
+            PipelineParallelScheduler(executor, policy=ExecutionPolicy(tier="psychic"))
         with pytest.raises(ValueError, match="drift_sample_every"):
-            PipelineParallelScheduler(executor, drift_sample_every=-1)
+            PipelineParallelScheduler(
+                executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=-1)
+            )
+        for removed, value in (
+            ("halo_mode", "displaced"),
+            ("accuracy_mode", "stale_halo"),
+            ("drift_sample_every", 1),
+        ):
+            with pytest.raises(TypeError, match=removed):
+                PipelineParallelScheduler(executor, **{removed: value})
 
 
 # ------------------------------------------------------- lifecycle regression
@@ -347,7 +357,7 @@ def test_executor_modelled_displaced_latency_uses_measured_corrections():
     plan = _random_plan(rng)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 3)) as executor:
         frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         scheduler.run([frame, frame + 1.0])
         corrected = scheduler.rounds[-1].corrected_branches
         worst = executor.modelled_displaced_latency()

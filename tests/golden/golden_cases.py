@@ -48,6 +48,7 @@ from repro.hardware import (
     estimate_serving_latency,
     make_cluster,
 )
+from repro.runtime import ExecutionPolicy
 from repro.serving import ModelSpec, compile_pipeline
 
 #: The two zoo models pinned by the golden suite.  ``streaming=True`` also
@@ -126,7 +127,9 @@ def _stale_drift_record(compiled) -> dict:
     plan = compiled.plan
     row, col, owner, lagging = _halo_only_pixel(plan)
     session = compiled.open_stream(
-        accuracy_mode="stale_halo", drift_sample_every=1, max_stale_frames=None
+        policy=ExecutionPolicy(
+            tier="stale_halo", drift_sample_every=1, max_stale_frames=None
+        )
     )
     frame = (
         np.random.default_rng(7)

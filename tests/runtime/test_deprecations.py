@@ -1,10 +1,14 @@
-"""Legacy kwargs still work, warn once, and match their policy equivalents.
+"""The deprecated keyword surface is removed; its policy spellings remain.
 
-Each historical knob (``parallel=``, ``parallel_patches=``, ``max_workers=``,
-``cluster=``, ``accuracy_mode=``) is now a thin shim over
-:meth:`ExecutionPolicy.resolve`: it must emit a :class:`DeprecationWarning`
-pointing at the replacement and produce bit-identical behavior to the
-explicit policy spelling.
+``ExecutionPolicy`` is the only way to choose placement, backend and
+freshness tier.  The keywords it replaced — ``parallel=``/``max_workers=``/
+``cluster=`` on ``CompiledPipeline.executor``/``infer``/``open_stream``,
+``accuracy_mode=``/``drift_sample_every=``/``max_stale_frames=`` on both
+``open_stream`` methods, ``parallel_patches=``/``cluster=`` on
+``InferenceEngine`` — are rejected with a :class:`TypeError` rather than
+silently accepted.  Each test pins one removed keyword and checks that its
+policy spelling (the README's "Removed keyword surface" table) yields what
+the keyword used to: the same executor kind, the same bits, no warnings.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.cluster import make_cluster
-from repro.runtime import ExecutionPolicy, cluster, threads
+from repro.runtime import ExecutionPolicy, Placement, cluster, threads
 from repro.serving import InferenceEngine, compile_pipeline
 from repro.serving.parallel import ParallelPatchExecutor
 from repro.distributed import DistributedExecutor
@@ -47,42 +51,52 @@ def frame(artifact):
 
 class TestPipelineShims:
     def test_executor_parallel_kwarg(self, compiled):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            legacy = compiled.executor(parallel=True, max_workers=2)
+        for removed, value in (("parallel", True), ("max_workers", 2)):
+            with pytest.raises(TypeError, match=removed):
+                compiled.executor(**{removed: value})
         modern = compiled.executor(policy=ExecutionPolicy(placement=threads(2)))
-        assert legacy is modern
-        assert isinstance(legacy, ParallelPatchExecutor)
+        assert isinstance(modern, ParallelPatchExecutor)
+        assert modern.max_workers == 2
 
     def test_executor_cluster_kwarg(self, compiled):
         spec = make_cluster("stm32h743", 2)
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            legacy = compiled.executor(cluster=spec)
+        with pytest.raises(TypeError, match="cluster"):
+            compiled.executor(cluster=spec)
         modern = compiled.executor(policy=ExecutionPolicy(placement=cluster(spec)))
-        assert legacy is modern
-        assert isinstance(legacy, DistributedExecutor)
+        assert isinstance(modern, DistributedExecutor)
 
     def test_infer_parallel_kwarg_matches_policy(self, compiled, frame):
         expected = compiled.infer(frame)
-        with pytest.warns(DeprecationWarning):
-            legacy = compiled.infer(frame, parallel=True)
+        for removed, value in (
+            ("parallel", True),
+            ("max_workers", 2),
+            ("cluster", make_cluster("stm32h743", 2)),
+        ):
+            with pytest.raises(TypeError, match=removed):
+                compiled.infer(frame, **{removed: value})
         modern = compiled.infer(frame, policy=ExecutionPolicy(placement=threads()))
-        np.testing.assert_array_equal(legacy, expected)
         np.testing.assert_array_equal(modern, expected)
 
     def test_open_stream_accuracy_mode_kwarg(self, compiled, frame):
-        with pytest.warns(DeprecationWarning, match="accuracy_mode"):
-            legacy = compiled.open_stream(accuracy_mode="stale_halo", max_stale_frames=2)
+        for removed, value in (
+            ("accuracy_mode", "stale_halo"),
+            ("drift_sample_every", 1),
+            ("max_stale_frames", 2),
+            ("parallel", True),
+            ("max_workers", 2),
+            ("cluster", make_cluster("stm32h743", 2)),
+        ):
+            with pytest.raises(TypeError, match=removed):
+                compiled.open_stream(**{removed: value})
         modern = compiled.open_stream(
             policy=ExecutionPolicy(tier="stale_halo", max_stale_frames=2)
         )
         try:
-            assert legacy.accuracy_mode == modern.accuracy_mode == "stale_halo"
-            assert legacy.max_stale_frames == modern.max_stale_frames == 2
-            np.testing.assert_array_equal(
-                legacy.process(frame[0]), modern.process(frame[0])
-            )
+            assert modern.accuracy_mode == "stale_halo"
+            assert modern.max_stale_frames == 2
+            # A first frame has no history to go stale against: exact bits.
+            np.testing.assert_array_equal(modern.process(frame[0]), compiled.infer(frame)[0])
         finally:
-            legacy.close()
             modern.close()
 
     def test_modern_surface_is_warning_free(self, compiled, frame):
@@ -96,30 +110,27 @@ class TestPipelineShims:
 
 class TestEngineShims:
     def test_parallel_patches_kwarg(self, artifact, compiled, frame):
-        with pytest.warns(DeprecationWarning, match="parallel_patches"):
-            engine = InferenceEngine(
-                compiled, batch_timeout_s=0.001, parallel_patches=True
-            )
-        try:
-            assert engine.parallel_patches
-            assert engine.policy.placement.kind == "threads"
-            legacy_out = engine.infer(frame[0])
-        finally:
-            engine.close()
+        with pytest.raises(TypeError, match="parallel_patches"):
+            InferenceEngine(compiled, batch_timeout_s=0.001, parallel_patches=True)
+        expected = compiled.infer(frame)[0]
         modern = InferenceEngine(
             compiled,
             batch_timeout_s=0.001,
             policy=ExecutionPolicy(placement=threads()),
         )
         try:
-            np.testing.assert_array_equal(modern.infer(frame[0]), legacy_out)
+            assert modern.policy.placement.kind == "threads"
+            np.testing.assert_array_equal(modern.infer(frame[0]), expected)
         finally:
             modern.close()
 
     def test_cluster_kwarg(self, compiled):
         spec = make_cluster("stm32h743", 2)
-        with pytest.warns(DeprecationWarning, match="cluster"):
-            engine = InferenceEngine(compiled, batch_timeout_s=0.001, cluster=spec)
+        with pytest.raises(TypeError, match="cluster"):
+            InferenceEngine(compiled, batch_timeout_s=0.001, cluster=spec)
+        engine = InferenceEngine(
+            compiled, batch_timeout_s=0.001, policy=ExecutionPolicy(placement=cluster(spec))
+        )
         try:
             assert engine.cluster is spec
             assert engine.policy.placement == cluster(spec)
@@ -127,22 +138,25 @@ class TestEngineShims:
             engine.close()
 
     def test_historical_mutual_exclusion_error_preserved(self, compiled):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(
-                ValueError, match="parallel_patches and cluster are mutually exclusive"
-            ):
-                InferenceEngine(
-                    compiled,
-                    parallel_patches=True,
-                    cluster=make_cluster("stm32h743", 2),
-                )
+        # parallel_patches=True with cluster=spec has no policy spelling:
+        # the placement refuses to be both, and the keywords are gone.
+        spec = make_cluster("stm32h743", 2)
+        with pytest.raises(ValueError, match="does not take a cluster"):
+            Placement("threads", cluster=spec)
+        with pytest.raises(TypeError):
+            InferenceEngine(compiled, parallel_patches=True, cluster=spec)
 
     def test_engine_open_stream_accuracy_mode(self, compiled, frame):
         engine = InferenceEngine(compiled, batch_timeout_s=0.001)
         try:
-            with pytest.warns(DeprecationWarning, match="accuracy_mode"):
-                session = engine.open_stream(accuracy_mode="stale_halo")
+            for removed, value in (
+                ("accuracy_mode", "stale_halo"),
+                ("drift_sample_every", 1),
+                ("max_stale_frames", 2),
+            ):
+                with pytest.raises(TypeError, match=removed):
+                    engine.open_stream(**{removed: value})
+            session = engine.open_stream(policy=ExecutionPolicy(tier="stale_halo"))
             assert session.accuracy_mode == "stale_halo"
             session.close()
         finally:

@@ -1,11 +1,15 @@
-"""ExecutionPolicy / Placement: validation, resolution, legacy shims."""
+"""ExecutionPolicy / Placement: validation, and how entry points resolve a policy."""
 
 from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
+from fixtures import quantize_and_compile
+
+from repro.distributed import DistributedExecutor, PipelineParallelScheduler
 from repro.hardware.cluster import make_cluster as build_cluster
 from repro.runtime import (
     ExecutionPolicy,
@@ -16,6 +20,7 @@ from repro.runtime import (
     local,
     threads,
 )
+from repro.serving import InferenceEngine, ParallelPatchExecutor
 
 
 def make_cluster(num_devices=2):
@@ -117,79 +122,152 @@ class TestExecutionPolicy:
         assert set(PLACEMENT_KINDS) == {"local", "threads", "cluster"}
 
 
+@pytest.fixture(scope="module")
+def compiled():
+    _, _, compiled = quantize_and_compile()
+    yield compiled
+    compiled.close()
+
+
+@pytest.fixture(scope="module")
+def frame(compiled):
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((1, *compiled.graph.input_shape)).astype(np.float32)
+
+
 class TestResolve:
-    def test_policy_passes_through(self):
+    """How each entry point settles the policy it runs under, now that
+    ``policy=`` is its only execution keyword: a given policy is used as is,
+    no policy means the default (an engine's streams default to the engine's
+    own), and a removed keyword is a :class:`TypeError`.  Tests named after
+    a removed keyword pin the policy spelling that replaced it."""
+
+    def test_policy_passes_through(self, compiled):
         policy = ExecutionPolicy(placement=threads(2))
-        assert ExecutionPolicy.resolve(policy) is policy
+        engine = InferenceEngine(compiled, batch_timeout_s=0.001, policy=policy)
+        try:
+            assert engine.policy is policy
+        finally:
+            engine.close()
+        scheduler = PipelineParallelScheduler(
+            compiled.executor(policy=ExecutionPolicy(placement=cluster(make_cluster()))),
+            policy=policy,
+        )
+        assert scheduler.policy is policy
 
-    def test_policy_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionPolicy.resolve(ExecutionPolicy(), parallel=True)
+    def test_policy_plus_legacy_is_an_error(self, compiled, frame):
+        with pytest.raises(TypeError, match="parallel"):
+            compiled.infer(frame, policy=ExecutionPolicy(), parallel=True)
+        with pytest.raises(TypeError, match="accuracy_mode"):
+            compiled.open_stream(policy=ExecutionPolicy(), accuracy_mode="stale_halo")
 
-    def test_no_arguments_yields_default(self):
-        assert ExecutionPolicy.resolve() == ExecutionPolicy()
+    def test_no_arguments_yields_default(self, compiled):
+        engine = InferenceEngine(compiled, batch_timeout_s=0.001)
+        try:
+            assert engine.policy == ExecutionPolicy()
+        finally:
+            engine.close()
+        assert compiled.executor() is compiled.executor(policy=ExecutionPolicy())
+        assert compiled.executor(policy=ExecutionPolicy(placement=local())) is compiled.executor()
 
-    def test_base_used_when_no_legacy(self):
+    def test_base_used_when_no_legacy(self, compiled):
         base = ExecutionPolicy(placement=threads(3))
-        assert ExecutionPolicy.resolve(base=base) is base
+        engine = InferenceEngine(compiled, batch_timeout_s=0.001, policy=base)
+        try:
+            session = engine.open_stream()
+            assert session.executor is compiled.executor(policy=base)
+            session.close()
+        finally:
+            engine.close()
 
-    def test_legacy_parallel_maps_to_threads(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            policy = ExecutionPolicy.resolve(parallel=True, max_workers=3)
-        assert policy.placement == threads(3)
+    def test_legacy_parallel_maps_to_threads(self, compiled):
+        # pipeline.infer(x, parallel=True, max_workers=3) is now:
+        executor = compiled.executor(policy=ExecutionPolicy(placement=threads(3)))
+        assert isinstance(executor, ParallelPatchExecutor)
+        assert executor.max_workers == 3
 
-    def test_legacy_parallel_patches_maps_to_threads(self):
-        with pytest.warns(DeprecationWarning, match="parallel_patches"):
-            policy = ExecutionPolicy.resolve(parallel_patches=True)
-        assert policy.placement.kind == "threads"
+    def test_legacy_parallel_patches_maps_to_threads(self, compiled, frame):
+        # InferenceEngine(parallel_patches=True) is now:
+        policy = ExecutionPolicy(placement=threads())
+        engine = InferenceEngine(compiled, batch_timeout_s=0.001, policy=policy)
+        try:
+            np.testing.assert_array_equal(engine.infer(frame[0]), compiled.infer(frame)[0])
+            assert isinstance(compiled.executor(policy=engine.policy), ParallelPatchExecutor)
+            assert not hasattr(engine, "parallel_patches")
+        finally:
+            engine.close()
 
-    def test_legacy_cluster_maps_to_cluster(self):
+    def test_legacy_cluster_maps_to_cluster(self, compiled):
+        # InferenceEngine(cluster=spec) / pipeline.executor(cluster=spec) are now:
         spec = make_cluster()
-        with pytest.warns(DeprecationWarning, match="cluster"):
-            policy = ExecutionPolicy.resolve(cluster=spec)
-        assert policy.placement == cluster(spec)
+        policy = ExecutionPolicy(placement=cluster(spec))
+        engine = InferenceEngine(compiled, batch_timeout_s=0.001, policy=policy)
+        try:
+            assert engine.cluster is spec  # the makespan model's devices
+        finally:
+            engine.close()
+        executor = compiled.executor(policy=policy)
+        assert isinstance(executor, DistributedExecutor)
+        assert executor.cluster == spec  # cached per cluster identity
 
     def test_historical_mutual_exclusion_message_preserved(self):
+        # A cluster owns its parallelism: no placement can ask for both.
         spec = make_cluster()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(
-                ValueError, match="parallel_patches and cluster are mutually exclusive"
-            ):
-                ExecutionPolicy.resolve(parallel_patches=True, cluster=spec)
+        with pytest.raises(ValueError, match="does not take a cluster"):
+            Placement("threads", cluster=spec)
+        with pytest.raises(ValueError, match="does not take max_workers"):
+            Placement("cluster", cluster=spec, max_workers=2)
 
-    def test_accuracy_mode_vocabularies(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert ExecutionPolicy.resolve(accuracy_mode="exact").tier == "exact"
-            assert (
-                ExecutionPolicy.resolve(accuracy_mode="stale_halo").tier == "stale_halo"
-            )
-            # The scheduler's verify_patch vocabulary maps onto displaced.
-            assert (
-                ExecutionPolicy.resolve(accuracy_mode="verify_patch").tier == "displaced"
-            )
-            with pytest.raises(ValueError, match="accuracy_mode"):
-                ExecutionPolicy.resolve(accuracy_mode="sloppy")
+    def test_accuracy_mode_vocabularies(self, compiled, frame):
+        """The scheduler maps tiers onto schedules: exact -> fresh rounds,
+        displaced -> verify-and-patch (bit-identical), stale_halo -> stale
+        rounds sampled for drift."""
+        executor = compiled.executor(
+            policy=ExecutionPolicy(placement=cluster(make_cluster(4)))
+        )
+        batches = [frame, frame + 0.5, frame + 0.5]
+        expected = [executor.forward(x) for x in batches]
+        fresh = PipelineParallelScheduler(executor)
+        verify = PipelineParallelScheduler(executor, policy=ExecutionPolicy(tier="displaced"))
+        stale = PipelineParallelScheduler(
+            executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=1)
+        )
+        for scheduler in (fresh, verify):
+            for out, ref in zip(scheduler.run(batches), expected):
+                np.testing.assert_array_equal(out, ref)
+        stale.run(batches)
+        assert not any(r.displaced for r in fresh.rounds)
+        assert all(r.displaced for r in verify.rounds[1:]) and not verify.drift_samples
+        assert all(r.displaced for r in stale.rounds[1:])
+        assert [s.microbatch for s in stale.drift_samples] == [1, 2]
 
-    def test_stale_knobs_carried(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = ExecutionPolicy.resolve(
-                accuracy_mode="stale_halo", max_stale_frames=2, drift_sample_every=4
-            )
-        assert policy.max_stale_frames == 2
-        assert policy.drift_sample_every == 4
+    def test_stale_knobs_carried(self, compiled):
+        session = compiled.open_stream(
+            policy=ExecutionPolicy(tier="stale_halo", max_stale_frames=2, drift_sample_every=4)
+        )
+        try:
+            assert session.accuracy_mode == "stale_halo"
+            assert session.max_stale_frames == 2
+            assert session.drift_sample_every == 4
+        finally:
+            session.close()
 
-    def test_warn_false_is_silent(self):
+    def test_warn_false_is_silent(self, compiled, frame):
+        # The policy surface never warns (there is no deprecated path left).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            policy = ExecutionPolicy.resolve(parallel=True, warn=False)
-        assert policy.placement.kind == "threads"
+            policy = ExecutionPolicy(placement=threads(2), tier="stale_halo")
+            compiled.infer(frame, policy=policy)
+            compiled.open_stream(policy=policy).close()
 
-    def test_explicit_false_parallel_forces_local(self):
-        base = ExecutionPolicy(placement=threads(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = ExecutionPolicy.resolve(parallel=False, base=base)
-        assert policy.placement.kind == "local"
+    def test_explicit_false_parallel_forces_local(self, compiled):
+        # An explicit local policy beats the engine's threaded one for a stream.
+        engine = InferenceEngine(
+            compiled, batch_timeout_s=0.001, policy=ExecutionPolicy(placement=threads(2))
+        )
+        try:
+            session = engine.open_stream(policy=ExecutionPolicy(placement=local()))
+            assert session.executor is compiled.executor()
+            session.close()
+        finally:
+            engine.close()

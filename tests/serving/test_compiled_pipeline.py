@@ -8,6 +8,8 @@ import pytest
 from fixtures import MOBILENET_SPEC as SPEC
 
 from repro.core import QuantMCUPipeline
+from repro.patch import PatchExecutor
+from repro.runtime import ExecutionPolicy, threads
 from repro.serving import CompiledPipeline, compile_pipeline
 
 
@@ -18,8 +20,53 @@ def test_compiled_matches_experiment_executor(quantized_mobilenet, rng):
     with pipeline.quantized_weights():
         reference = pipeline.make_executor(result).forward(x)
     assert np.array_equal(compiled.infer(x), reference)
-    assert np.array_equal(compiled.infer(x, parallel=True), reference)
+    threaded = ExecutionPolicy(placement=threads())
+    assert np.array_equal(compiled.infer(x, policy=threaded), reference)
     compiled.close()
+
+
+def _held_executors(compiled) -> set[int]:
+    """Identities of every executor the pipeline object keeps alive."""
+    held: set[int] = set()
+
+    def walk(value) -> None:
+        if isinstance(value, PatchExecutor):
+            held.add(id(value))
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    walk(vars(compiled))
+    return held
+
+
+def test_alternating_worker_counts_reuse_one_executor_each(quantized_mobilenet, rng):
+    """Regression: alternating threads(2)/threads(3) retired and rebuilt the
+    patch-parallel executor on every switch (one worker pool torn down, one
+    started) and kept every retired executor alive until close().  Each
+    placement now has one cached executor, reused with its pool."""
+    pipeline, result = quantized_mobilenet
+    compiled = compile_pipeline(pipeline, result, spec=SPEC)
+    x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
+    reference = compiled.infer(x)
+    policies = [ExecutionPolicy(placement=threads(n)) for n in (2, 3)]
+    first: dict[int, tuple] = {}
+    try:
+        for i in range(40):
+            policy = policies[i % 2]
+            assert np.array_equal(compiled.infer(x, policy=policy), reference)
+            executor = compiled.executor(policy=policy)
+            seen, pool = first.setdefault(i % 2, (executor, executor._pool))
+            assert executor is seen
+            assert executor._pool is pool
+        assert [first[k][0].max_workers for k in (0, 1)] == [2, 3]
+        # The default local executor plus one per worker count.
+        assert len(_held_executors(compiled)) == 3
+    finally:
+        compiled.close()
 
 
 def test_compiled_is_isolated_from_source_model(quantized_mobilenet, rng):

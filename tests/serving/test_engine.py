@@ -424,12 +424,11 @@ def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
         seconds = engine._modelled_device_seconds(compiled_mobilenet, 2)
         assert seconds > 0
         # Latency was modelled without ever instantiating a cluster executor.
-        assert compiled_mobilenet._distributed == {}
+        assert compiled_mobilenet._executors == {}
         # And the memoized assignment matches what a real executor would use.
         planned = ShardPlanner(spec).plan_shards(compiled_mobilenet.plan).assignment()
         assert engine._shard_assignments[compiled_mobilenet.fingerprint] == planned
-        with pytest.warns(DeprecationWarning):
-            executor = compiled_mobilenet.executor(cluster=spec)
+        executor = compiled_mobilenet.executor(policy=engine.policy)
         assert executor.shard_plan.assignment() == planned
     finally:
         engine.close()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticVideo
+from repro.runtime import ExecutionPolicy, threads
 from repro.serving import EngineClosed, InferenceEngine, PipelineCache
 
 
@@ -44,8 +45,9 @@ def test_open_stream_records_reuse_telemetry(compiled_mobilenet):
 
 
 def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
+    threaded = ExecutionPolicy(placement=threads())
     with InferenceEngine(
-        compiled_mobilenet, batch_timeout_s=0.001, parallel_patches=True
+        compiled_mobilenet, batch_timeout_s=0.001, policy=threaded
     ) as engine:
         session = engine.open_stream()
         frame = _video(num_frames=1).frames[0]
@@ -53,7 +55,7 @@ def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
             session.process(frame), compiled_mobilenet.infer(frame[None])[0]
         )
         # The session's executor is the pipeline's patch-parallel one.
-        assert session.executor is compiled_mobilenet.executor(parallel=True)
+        assert session.executor is compiled_mobilenet.executor(policy=threaded)
 
 
 def test_open_stream_after_close_raises(compiled_mobilenet):

@@ -10,6 +10,7 @@ from fixtures import quantize_and_compile
 from repro.data import SyntheticVideo
 from repro.hardware import make_cluster
 from repro.patch import analyze_streaming
+from repro.runtime import ExecutionPolicy, cluster, threads
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
 
 #: The same two zoo deployments the golden suite pins.
@@ -46,14 +47,16 @@ def test_incremental_is_bit_identical_on_zoo_models(zoo_compiled):
 
 def test_incremental_is_bit_identical_with_parallel_executor(zoo_compiled):
     params, compiled = zoo_compiled
-    session = compiled.open_stream(parallel=True)
+    session = compiled.open_stream(policy=ExecutionPolicy(placement=threads()))
     for frame in _video(params["resolution"]):
         assert np.array_equal(session.process(frame), compiled.infer(frame[None])[0])
 
 
 def test_incremental_is_bit_identical_on_cluster(zoo_compiled):
     params, compiled = zoo_compiled
-    session = compiled.open_stream(cluster=make_cluster("stm32h743", 2))
+    session = compiled.open_stream(
+        policy=ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    )
     for frame in _video(params["resolution"]):
         assert np.array_equal(session.process(frame), compiled.infer(frame[None])[0])
 
@@ -168,8 +171,9 @@ def test_frame_history_is_capped_but_totals_are_not(zoo_compiled):
 def test_distributed_reuse_is_per_shard(zoo_compiled):
     """Only devices owning dirty patches run branches; clean shards stay idle."""
     params, compiled = zoo_compiled
-    cluster = make_cluster("stm32h743", 2)
-    executor = compiled.executor(cluster=cluster)
+    executor = compiled.executor(
+        policy=ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    )
     executor.close()  # drop any workers bound to the unwrapped run_branch
     executed: list[int] = []
     original = executor.run_branch
@@ -195,21 +199,25 @@ def test_distributed_reuse_is_per_shard(zoo_compiled):
 
 
 def test_close_shuts_pools_revived_by_live_sessions(zoo_compiled):
-    """A session holding a replaced parallel executor must not leak its pool."""
+    """A session's executor must not leak its pool when the pipeline serves
+    another worker count in between: close() reaches it."""
     params, compiled = zoo_compiled
-    session = compiled.open_stream(parallel=True, max_workers=3)
-    retired = session.executor
+    three = ExecutionPolicy(placement=threads(3))
+    session = compiled.open_stream(policy=three)
+    held = session.executor
     frame = _video(params["resolution"]).frames[0]
     session.process(frame)
-    # A different worker count swaps the pipeline's parallel executor...
-    compiled.infer(frame[None], parallel=True, max_workers=2)
-    assert compiled.executor(parallel=True) is not retired
-    # ...but the live session lazily revives the retired executor's pool.
+    # A different worker count gets its own executor; the session's stays
+    # cached rather than being retired under it.
+    compiled.infer(frame[None], policy=ExecutionPolicy(placement=threads(2)))
+    assert compiled.executor(policy=ExecutionPolicy(placement=threads(2))) is not held
+    assert compiled.executor(policy=three) is held
+    # The live session keeps (lazily re-creating) the pool it works through.
     session.process(frame)
     session.process(frame + 1.0)  # force real branch work through the pool
-    assert retired._pool is not None
+    assert held._pool is not None
     compiled.close()
-    assert retired._pool is None  # close() reached the revived pool too
+    assert held._pool is None  # close() reached the session's pool too
 
 
 # ----------------------------------------------------------------- diffing

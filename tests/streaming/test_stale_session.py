@@ -9,7 +9,8 @@ changes are confined to their halo; these tests pin its contract:
   overdue branch is force-recomputed (restoring exactness);
 * drift sampling populates the per-frame and cumulative telemetry fields;
 * serving-layer plumbing (``CompiledPipeline.open_stream`` /
-  ``InferenceEngine.open_stream``) forwards the mode and mirrors the stale /
+  ``InferenceEngine.open_stream``) maps a ``stale_halo`` policy onto the
+  session and mirrors the stale /
   drift counters into :class:`~repro.serving.telemetry.TelemetrySnapshot`.
 
 Plus the satellite regression: ``executed_macs`` must be keyed by
@@ -28,6 +29,7 @@ from fixtures import property_cases, quantize_and_compile, random_property_graph
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
 from repro.patch.analysis import branch_macs
 from repro.patch.stale import plan_stale_geometry
+from repro.runtime import ExecutionPolicy
 from repro.serving import InferenceEngine
 from repro.streaming import StreamSession
 
@@ -237,17 +239,21 @@ def test_pipeline_and_engine_streams_carry_stale_telemetry():
         rng = np.random.default_rng(13)
         shape = compiled.plan.graph.input_shape
 
-        with pytest.raises(ValueError, match="accuracy_mode"):
-            compiled.open_stream(accuracy_mode="sloppy")
+        with pytest.raises(ValueError, match="tier"):
+            compiled.open_stream(policy=ExecutionPolicy(tier="sloppy"))
 
         session = compiled.open_stream(
-            accuracy_mode="stale_halo", drift_sample_every=1, max_stale_frames=3
+            policy=ExecutionPolicy(
+                tier="stale_halo", drift_sample_every=1, max_stale_frames=3
+            )
         )
         assert session.accuracy_mode == "stale_halo"
         assert session.max_stale_frames == 3
 
         with InferenceEngine(compiled) as engine:
-            stream = engine.open_stream(accuracy_mode="stale_halo", drift_sample_every=1)
+            stream = engine.open_stream(
+                policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=1)
+            )
             frame = rng.standard_normal(shape).astype(np.float32)
             stream.process(frame)
             frame = frame.copy()
