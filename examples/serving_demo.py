@@ -5,8 +5,8 @@ This walks the `repro.serving` subsystem end to end:
 1. build and quantize a small MobileNetV2 with QuantMCU;
 2. compile it into an immutable :class:`CompiledPipeline` (and round-trip it
    through ``save``/``load`` to show the artifact is self-contained);
-3. stand up an :class:`InferenceEngine` with dynamic micro-batching and
-   patch-parallel workers;
+3. stand up an :class:`InferenceEngine` with dynamic micro-batching, its
+   patch stage sharded over host worker threads;
 4. fire concurrent requests from client threads and print the telemetry
    (throughput, latency percentiles, batch-size histogram, cache hit rate)
    plus the modelled on-device latency per request.

@@ -7,7 +7,10 @@ branches per layer (:class:`~repro.backend.vectorized.VectorizedBackend`), or
 fanned out to forked worker processes over shared memory
 (:class:`~repro.backend.multiprocess.MultiprocessBackend`).  The executor in
 :mod:`repro.patch.executor` owns *what* is computed (the plan, the
-quantization hooks, the suffix) and dispatches through the backend.
+quantization hooks, the suffix) and always dispatches through the configured
+backend.  Only the loop reference calls
+:meth:`~repro.patch.executor.PatchExecutor.run_branch` per branch, so
+instrumentation that wraps it runs under ``backend="loop"``.
 
 Every backend must be **bit-identical** to the loop reference: same float
 operations, same order, per output element.  That contract is what lets the
@@ -53,7 +56,7 @@ class ScratchArena:
     The vectorized backend executes the same per-group buffer shapes on every
     call, so allocating them once and reusing them removes per-inference
     allocation from the hot path.  Buffers are **thread-local**: concurrent
-    chunks dispatched by the patch-parallel executor each get their own set,
+    shards run by the sharded executor's workers each get their own set,
     so no synchronization (and no sharing hazard) exists between workers.
 
     Buffers come back *uninitialized* — callers own the content invariants

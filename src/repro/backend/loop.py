@@ -3,9 +3,10 @@
 This is the pre-backend execution strategy preserved verbatim — it simply
 drives :meth:`~repro.patch.executor.PatchExecutor.run_branch` — and it is the
 bit-exactness oracle the vectorized and multiprocess backends are tested
-against.  It is also the automatic fallback whenever ``run_branch`` has been
-overridden (subclassed or monkeypatched), so instrumentation that wraps the
-per-branch entry point keeps observing every branch.
+against.  Because it calls ``executor.run_branch`` for every branch, it is
+also the backend to choose for instrumentation: build the executor with
+``backend="loop"`` and wrap ``run_branch`` to observe every branch (the
+other backends never call it).
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 Sidesteps the GIL for the patch stage: branches are chunked across a pool of
 **forked** worker processes, each executing its chunk through the executor's
-in-process kernel backend (the vectorized one, unless ``run_branch`` is
-instrumented).  Arrays never travel through pickle — the input image and the
-result tiles live in one :class:`multiprocessing.shared_memory.SharedMemory`
+in-process kernel backend (the vectorized one).  Arrays never travel through
+pickle — the input image and the result tiles live in one :class:`multiprocessing.shared_memory.SharedMemory`
 segment with precomputed per-tile offsets; only patch ids and offsets cross
 the process boundary.
 

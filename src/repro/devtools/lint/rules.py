@@ -78,7 +78,6 @@ _CLOSEABLE_CTORS = {
     "multiprocessing.Pool",
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
-    "ParallelPatchExecutor",
     "DistributedExecutor",
     "DeviceShard",
     "InferenceEngine",

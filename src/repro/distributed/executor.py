@@ -7,11 +7,17 @@ serially on its own :class:`~repro.distributed.workers.DeviceShard` worker
 (devices run concurrently), the head stitches the returned tiles into the
 split feature map and runs the layer-by-layer suffix.
 
-The result is **bit-identical** to both the sequential
-:class:`~repro.patch.executor.PatchExecutor` and the single-node
-:class:`~repro.serving.parallel.ParallelPatchExecutor`: sharding only changes
-*where* a branch runs, never what it computes, and the stitched tiles are
-disjoint so assignment and completion order cannot affect the result.
+The same executor serves the host placement ``threads(n)``: there the
+"devices" are n identical host workers (see
+:meth:`~repro.serving.CompiledPipeline.executor`), so one sharded path runs
+branches concurrently for both placements.
+
+The result is **bit-identical** to the sequential
+:class:`~repro.patch.executor.PatchExecutor`: sharding only changes *where* a
+branch runs, never what it computes, and the stitched tiles are disjoint so
+assignment and completion order cannot affect the result.  Instrumentation
+that wants to observe every branch wraps ``run_branch`` on an executor built
+with ``backend="loop"``.
 """
 
 from __future__ import annotations
@@ -114,12 +120,7 @@ class DistributedExecutor(PatchExecutor):
         return self.cluster.num_devices
 
     def _shard_run_branches(self, x: np.ndarray, branches: list):
-        """Device-side batched kernel: one compute-backend call per shard.
-
-        Resolved per call (not captured at worker creation) so a later
-        ``run_branch`` override still routes every branch through the loop
-        reference and is observed by instrumentation.
-        """
+        """Device-side batched kernel: one compute-backend call per shard."""
         backend = self._kernel_backend()
         return backend.run_branches(x, [branch.patch_id for branch in branches])
 
@@ -171,7 +172,7 @@ class DistributedExecutor(PatchExecutor):
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
         if self.num_devices <= 1:
             # A one-device cluster degenerates to sequential execution; skip
-            # the worker machinery exactly like the single-worker parallel path.
+            # the worker machinery entirely.
             return super()._run_patch_stage(x)
         return self._stitch(x, self._submit_patch_stage(x))
 

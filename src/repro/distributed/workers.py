@@ -7,10 +7,12 @@ they would on one core) while different devices run concurrently — the same
 concurrency structure as the hardware, which is what makes the modelled
 makespan and the simulated wall clock comparable in shape.
 
+The same workers serve the host placement ``threads(n)``: there each shard
+is one host worker thread instead of one microcontroller.
+
 The computation itself goes through the owning executor's in-process compute
-backend (or its per-branch ``run_branch`` reference): every branch performs
-the exact same floating-point operations it would under sequential or
-patch-parallel execution, so device sharding cannot change any result bit.
+backend: every branch performs the exact same floating-point operations it
+would under sequential execution, so sharding cannot change any result bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["DeviceShard"]
 
-RunBranch = Callable[[BranchPlan, np.ndarray], np.ndarray]
 RunBranches = Callable[
     [np.ndarray, list[BranchPlan]], list[tuple[BranchPlan, np.ndarray]]
 ]
@@ -44,15 +45,11 @@ class DeviceShard:
         Index of the device within the cluster.
     branches:
         The :class:`~repro.patch.plan.BranchPlan`s this device owns.
-    run_branch:
-        Callback computing one branch's tile (typically the bound
-        ``run_branch`` of the executor that owns this worker).
     run_branches:
-        Batched alternative: callback computing a whole branch subset in one
-        call (typically dispatching into the owning executor's compute
-        backend, so a shard's branches execute as one vectorized group
-        instead of one NumPy round trip per branch).  Takes precedence over
-        ``run_branch`` when both are given.
+        Callback computing a branch subset in one call, returning
+        ``[(branch, tile), ...]`` (the owning executor dispatches it into its
+        compute backend, so a shard's branches execute as one vectorized
+        group instead of one NumPy round trip per branch).
     runtime:
         The :class:`~repro.runtime.Runtime` to lease the device's serial
         pool from; without one, a private runtime is created lazily (the
@@ -63,15 +60,11 @@ class DeviceShard:
         self,
         device_id: int,
         branches: list[BranchPlan],
-        run_branch: RunBranch | None = None,
-        run_branches: RunBranches | None = None,
+        run_branches: RunBranches,
         runtime: "Runtime | None" = None,
     ) -> None:
-        if run_branch is None and run_branches is None:
-            raise ValueError("provide run_branch or run_branches")
         self.device_id = device_id
         self.branches = list(branches)
-        self._run_branch = run_branch
         self._run_branches = run_branches
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
@@ -132,11 +125,7 @@ class DeviceShard:
             future: Future = Future()
             future.set_result([])
             return future
-        if self._run_branches is not None:
-            return self._ensure_pool().submit(self._run_branches, x, list(branches))
-        return self._ensure_pool().submit(
-            lambda: [(branch, self._run_branch(branch, x)) for branch in branches]
-        )
+        return self._ensure_pool().submit(self._run_branches, x, list(branches))
 
     def submit_displaced(
         self,
@@ -162,9 +151,7 @@ class DeviceShard:
 
         def _run() -> list[tuple[BranchPlan, np.ndarray]]:
             composite = composite_input(fresh, stale, owned_regions)
-            if self._run_branches is not None:
-                return self._run_branches(composite, branches)
-            return [(branch, self._run_branch(branch, composite)) for branch in branches]
+            return self._run_branches(composite, branches)
 
         return self._ensure_pool().submit(_run)
 

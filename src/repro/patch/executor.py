@@ -23,10 +23,10 @@ Both return the (possibly fake-quantized) array to propagate.
 *How* the branches are computed is delegated to a pluggable compute backend
 (:mod:`repro.backend`): the serial per-branch loop reference, the batched
 vectorized default, or a fork-pool multiprocess backend — all bit-identical.
-:meth:`PatchExecutor.run_branch` remains the single-branch reference kernel;
-whenever it is overridden (subclassed or monkeypatched, as instrumentation
-does), dispatch automatically drops to the loop backend so the override keeps
-seeing every branch.
+Dispatch always goes through the configured backend.
+:meth:`PatchExecutor.run_branch` remains the single-branch reference kernel
+that the loop backend drives; instrumentation that wants to observe every
+branch wraps ``run_branch`` on an executor built with ``backend="loop"``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,29 @@ BranchHook = Callable[[int, FeatureMap, np.ndarray], np.ndarray]
 SuffixHook = Callable[[FeatureMap, np.ndarray], np.ndarray]
 
 
+def _as_input_batch(x, input_shape: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+    """Check a serving input and normalise it to a float32 ``(N, C, H, W)`` batch.
+
+    Accepts one ``(C, H, W)`` sample or an ``(N, C, H, W)`` batch and returns
+    ``(batch, single)``, where ``single`` says the caller passed an unbatched
+    sample.  Raises :class:`ValueError` for any other rank, for a sample shape
+    other than ``input_shape``, and for NaN/Inf values: the fake-quantizers
+    would otherwise clamp them into finite, confident-looking logits.
+    """
+    batch = np.asarray(x, dtype=np.float32)
+    single = batch.ndim == 3
+    if single:
+        batch = batch[None]
+    if batch.ndim != 4 or tuple(batch.shape[1:]) != tuple(input_shape):
+        raise ValueError(
+            f"input shape {np.shape(x)} does not match the model input "
+            f"{tuple(input_shape)} (pass (C, H, W) or (N, C, H, W))"
+        )
+    if not np.isfinite(batch).all():
+        raise ValueError("input contains NaN or Inf values")
+    return batch, single
+
+
 class PatchExecutor:
     """Execute a model patch-by-patch according to a plan (see module docstring)."""
 
@@ -72,7 +95,6 @@ class PatchExecutor:
         # string) so constructing an executor never pays backend setup costs.
         self._backend_spec = backend
         self._configured_backend: "Backend | None" = None
-        self._loop_backend: "Backend | None" = None
         self._inproc_backend: "Backend | None" = None
         # Resource ownership: an injected runtime is shared (close() leaves it
         # alone); without one, a private runtime is created on demand — and
@@ -115,35 +137,12 @@ class PatchExecutor:
             self._configured_backend = make_backend(self._backend_spec, self)
         return self._configured_backend
 
-    def _run_branch_overridden(self) -> bool:
-        return (
-            "run_branch" in self.__dict__
-            or type(self).run_branch is not PatchExecutor.run_branch
-        )
-
-    def _loop(self) -> "Backend":
-        if self._loop_backend is None:
-            from ..backend import LoopBackend
-
-            self._loop_backend = LoopBackend(self)
-        return self._loop_backend
-
-    def _active_backend(self) -> "Backend":
-        """Backend used for dispatch: the configured one, unless ``run_branch``
-        is overridden — then the loop reference, so the override is honoured."""
-        if self._run_branch_overridden():
-            return self._loop()
-        return self.backend
-
     def _kernel_backend(self) -> "Backend":
         """In-process compute backend, for worker pools and forked processes.
 
-        Never the multiprocess backend itself (a worker must not recursively
-        fan out), and the loop reference whenever ``run_branch`` is
-        overridden.
+        The configured backend when it runs in-process; never the
+        multiprocess backend itself (a worker must not recursively fan out).
         """
-        if self._run_branch_overridden():
-            return self._loop()
         configured = self.backend
         if configured.in_process:
             return configured
@@ -162,11 +161,7 @@ class PatchExecutor:
         """
         from ..backend import Backend
 
-        for backend in (
-            self._configured_backend,
-            self._loop_backend,
-            self._inproc_backend,
-        ):
+        for backend in (self._configured_backend, self._inproc_backend):
             if backend is not None:
                 backend.close()
         if isinstance(self._backend_spec, Backend):
@@ -198,12 +193,13 @@ class PatchExecutor:
 
         The partial-execution entry point used by streaming inference: a
         caller that knows some tiles are still valid (their input regions did
-        not change) asks for just the dirty subset.  Subclasses that own
-        worker pools override this to keep their parallelism structure — the
-        base implementation hands the subset to the compute backend.  The
-        returned tiles are owned by the caller (never backend scratch).
+        not change) asks for just the dirty subset.  The sharded
+        :class:`~repro.distributed.DistributedExecutor` overrides this to
+        send each branch to its shard; the base implementation hands the
+        subset to the compute backend.  The returned tiles are owned by the
+        caller (never backend scratch).
         """
-        return self._active_backend().run_branches(x, list(branch_ids))
+        return self.backend.run_branches(x, list(branch_ids))
 
     def stitch_tiles(
         self, x: np.ndarray, branch_ids: list[int], out: np.ndarray
@@ -228,17 +224,17 @@ class PatchExecutor:
         the stitched buffer themselves (the streaming session keeps it alive
         across frames) can finish the forward pass through the same hooks.
         """
-        return self._active_backend().run_suffix(x, stitched)
+        return self.backend.run_suffix(x, stitched)
 
     def run_branch(self, branch: BranchPlan, x: np.ndarray) -> np.ndarray:
         """Run one dataflow branch and return its tile of the split feature map.
 
         This is the independent unit of patch-stage work: branches share no
         intermediate state (each recomputes its halo), so callers — notably
-        the patch-parallel executor in :mod:`repro.serving` — may run branches
-        concurrently and stitch the returned tiles in any order.  The returned
-        array has shape ``(N, C, tile.height, tile.width)`` where ``tile`` is
-        ``branch.output_region``.
+        the sharded :class:`~repro.distributed.DistributedExecutor` — may run
+        branches concurrently and stitch the returned tiles in any order.
+        The returned array has shape ``(N, C, tile.height, tile.width)``
+        where ``tile`` is ``branch.output_region``.
         """
         plan = self.plan
         values: dict[str, tuple[np.ndarray, Region]] = {}
@@ -269,7 +265,7 @@ class PatchExecutor:
         return np.zeros((x.shape[0], *split_shape), dtype=np.float32)
 
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
-        return self._active_backend().run_patch_stage(x, self._allocate_split(x))
+        return self.backend.run_patch_stage(x, self._allocate_split(x))
 
     def _compute_node(
         self,

@@ -7,8 +7,9 @@ one ``policy=`` value with three orthogonal axes:
 
 placement
     *Where* branches run: :func:`local` (the calling thread),
-    :func:`threads` (the patch-parallel worker pool), or :func:`cluster`
-    (sharded across simulated devices).
+    :func:`threads` (sharded across n host worker threads), or
+    :func:`cluster` (sharded across simulated devices); both sharded
+    placements run through one :class:`~repro.distributed.DistributedExecutor`.
 backend
     *How* a branch chunk is computed: ``loop`` | ``vectorized`` |
     ``multiprocess`` (see :mod:`repro.backend`); ``None`` defers to the
@@ -88,7 +89,8 @@ def local() -> Placement:
 
 
 def threads(max_workers: int | None = None) -> Placement:
-    """Run branch chunks on the patch-parallel worker pool."""
+    """Shard branches over ``max_workers`` host worker threads (default: one
+    per branch, capped at the CPU count)."""
     return Placement("threads", max_workers=max_workers)
 
 

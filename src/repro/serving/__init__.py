@@ -5,10 +5,10 @@ concurrent inference service:
 
 * :class:`CompiledPipeline` — an immutable artifact freezing a model, its
   quantization configuration and its patch plan, with ``save``/``load``
-  round-tripping (:mod:`repro.serving.pipeline`);
-* :class:`ParallelPatchExecutor` — dispatches the independent dataflow
-  branches of a patch plan to a worker pool, bit-identical to sequential
-  execution (:mod:`repro.serving.parallel`);
+  round-tripping (:mod:`repro.serving.pipeline`); its ``threads(n)``
+  placement shards the independent dataflow branches over n host workers
+  through :class:`~repro.distributed.DistributedExecutor`, bit-identical to
+  sequential execution (instrument every branch under ``backend="loop"``);
 * :class:`InferenceEngine` — a thread-safe request queue with dynamic
   micro-batching and an LRU :class:`PipelineCache` of compiled pipelines
   (:mod:`repro.serving.engine`, :mod:`repro.serving.cache`);
@@ -32,7 +32,6 @@ Quickstart::
 from ..streaming import FrameStats, StreamSession, StreamStats
 from .cache import CacheStats, PipelineCache
 from .engine import EngineClosed, InferenceEngine
-from .parallel import ParallelPatchExecutor, default_worker_count
 from .pipeline import CompiledPipeline, ModelSpec, compile_pipeline
 from .telemetry import RequestRecord, TelemetryRecorder, TelemetrySnapshot, percentile
 
@@ -40,8 +39,6 @@ __all__ = [
     "CompiledPipeline",
     "ModelSpec",
     "compile_pipeline",
-    "ParallelPatchExecutor",
-    "default_worker_count",
     "PipelineCache",
     "CacheStats",
     "InferenceEngine",

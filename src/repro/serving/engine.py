@@ -44,6 +44,7 @@ from ..distributed.planner import ShardPlanner
 from ..hardware.cluster import estimate_cluster_serving_latency
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
+from ..patch.executor import _as_input_batch
 from ..runtime.policy import ExecutionPolicy
 from ..runtime.resources import Runtime
 from ..streaming.session import StreamSession
@@ -115,10 +116,10 @@ class InferenceEngine:
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
         executes under — the one description of placement, kernel backend and
-        freshness tier (default: local, exact).  ``threads()`` runs each
-        flush's patch stage on the patch-parallel worker pool and
-        ``cluster(spec)`` on the multi-device patch-sharded executor (both
-        bit-identical to local execution); under a cluster placement the
+        freshness tier (default: local, exact).  ``threads(n)`` shards each
+        flush's patch stage over n host workers and ``cluster(spec)`` over
+        the cluster's devices, both through the one patch-sharded executor
+        (bit-identical to local execution); under a cluster placement the
         modelled telemetry latency switches to the cluster makespan model.
     runtime:
         Optional shared :class:`~repro.runtime.Runtime`; executors built for
@@ -186,7 +187,7 @@ class InferenceEngine:
         # instead of read off a DistributedExecutor: building an executor just
         # to inspect its plan used to leak device worker pools into the
         # pipeline's executor cache.
-        self._shard_assignments: dict[str, dict[int, int]] = {}
+        self._shard_assignments: dict[str, list[list[int]]] = {}
         self._breakdown_lock = threading.Lock()
         # Chain onto the cache's eviction callback (preserving any existing
         # one) so a pipeline leaving the cache drops its memoized latencies.
@@ -207,6 +208,9 @@ class InferenceEngine:
 
         ``x`` is a single ``(C, H, W)`` sample (resolved to its ``(classes,)``
         output row) or a ``(N, C, H, W)`` mini-batch (resolved to ``(N, ...)``).
+        Any other rank, a wrong sample shape or a NaN/Inf value raises
+        :class:`ValueError` here, so a bad request fails alone instead of
+        failing (or poisoning) the micro-batch it would have joined.
         """
         if self._closed:
             # Fail fast before the cache lookup: a miss would run the factory
@@ -223,15 +227,7 @@ class InferenceEngine:
         stats = self.cache.stats()
         self.telemetry.record_cache(stats.hits, stats.misses, stats.evictions)
 
-        x = np.asarray(x, dtype=np.float32)
-        single = x.ndim == 3
-        if single:
-            x = x[None]
-        if x.ndim != 4 or tuple(x.shape[1:]) != tuple(pipeline.graph.input_shape):
-            raise ValueError(
-                f"request sample shape {tuple(x.shape[1:]) if x.ndim == 4 else x.shape} "
-                f"does not match pipeline input {tuple(pipeline.graph.input_shape)}"
-            )
+        x, single = _as_input_batch(x, pipeline.graph.input_shape)
         request = _PendingRequest(
             request_id=next(self._request_ids),
             pipeline=pipeline,
@@ -422,6 +418,7 @@ class InferenceEngine:
         except Exception as exc:  # propagate the failure to every caller
             for request in requests:
                 request.future.set_exception(exc)
+            self.telemetry.record_failed(len(requests))
             return
         completed = time.perf_counter()
         service = completed - started
@@ -487,8 +484,9 @@ class InferenceEngine:
                     memo.popitem(last=False)
         return seconds / batch_size
 
-    def _shard_assignment(self, pipeline: CompiledPipeline) -> dict[int, int]:
-        """Branch→device assignment of the attached cluster for ``pipeline``.
+    def _shard_assignment(self, pipeline: CompiledPipeline) -> list[list[int]]:
+        """Branch ids per device (``[d] -> [branch, ...]``) of the attached
+        cluster for ``pipeline``.
 
         Planned directly (and memoized by fingerprint) rather than read off
         the pipeline's cluster executor: the planner is deterministic, so

@@ -26,6 +26,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import sys
 import threading
 from dataclasses import asdict, dataclass
 
@@ -33,20 +35,41 @@ import numpy as np
 
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
 from ..distributed.executor import DistributedExecutor
+from ..hardware.cluster import ClusterSpec
+from ..hardware.device import MCUDevice
 from ..models import build_model
 from ..nn import Graph
-from ..patch.executor import PatchExecutor
+from ..patch.executor import PatchExecutor, _as_input_batch
 from ..patch.plan import PatchPlan, build_patch_plan
 from ..quant.config import QuantizationConfig
 from ..quant.quantizers import quantize_weight_per_channel
 from ..runtime.policy import ExecutionPolicy
 from ..runtime.resources import Runtime
 from ..streaming.session import StreamSession
-from .parallel import ParallelPatchExecutor
 
 __all__ = ["ModelSpec", "CompiledPipeline", "compile_pipeline"]
 
 _DEFAULT_POLICY = ExecutionPolicy()
+
+#: One host worker of the ``threads(n)`` placement.  Its SRAM budget is one no
+#: shard can exceed, so the shard planner balances MACs alone.
+_HOST_WORKER = MCUDevice(
+    name="host",
+    core="host",
+    clock_hz=1.0,
+    sram_bytes=sys.maxsize,
+    flash_bytes=sys.maxsize,
+)
+
+
+def _host_cluster(plan: PatchPlan, max_workers: int | None) -> ClusterSpec:
+    """The ``threads(max_workers)`` placement as n identical host workers.
+
+    Unset, n is one worker per branch capped at the CPU count.
+    """
+    if max_workers is None:
+        max_workers = max(1, min(plan.num_branches, os.cpu_count() or 1))
+    return ClusterSpec.homogeneous(_HOST_WORKER, max_workers)
 
 
 @dataclass(frozen=True)
@@ -204,6 +227,12 @@ class CompiledPipeline:
         resource runtime executors lease pools from (defaults to the
         pipeline's).  Executors are cached per ``(placement, backend,
         runtime)`` and live until :meth:`close`.
+
+        ``local`` runs the backend on the calling thread.  ``threads(n)`` and
+        ``cluster(spec)`` both run a
+        :class:`~repro.distributed.DistributedExecutor` with one serial shard
+        per worker: for ``threads(n)`` the workers are n identical host
+        threads, planned by MACs alone.
         """
         runtime = runtime if runtime is not None else self._runtime
         policy = policy if policy is not None else _DEFAULT_POLICY
@@ -220,21 +249,18 @@ class CompiledPipeline:
             executor = self._executors.get(key)
             if executor is None:
                 hooks = {"branch_hook": self._branch_hook, "suffix_hook": self._suffix_hook}
-                if placement.kind == "cluster":
-                    executor = DistributedExecutor(
-                        self.plan, placement.cluster, backend=backend, runtime=runtime, **hooks
-                    )
-                elif placement.kind == "threads":
-                    executor = ParallelPatchExecutor(
-                        self.plan,
-                        max_workers=placement.max_workers,
-                        backend=backend,
-                        runtime=runtime,
-                        **hooks,
-                    )
-                else:
+                if placement.kind == "local":
                     executor = PatchExecutor(
                         self.plan, backend=backend, runtime=runtime, **hooks
+                    )
+                else:
+                    cluster = (
+                        placement.cluster
+                        if placement.kind == "cluster"
+                        else _host_cluster(self.plan, placement.max_workers)
+                    )
+                    executor = DistributedExecutor(
+                        self.plan, cluster, backend=backend, runtime=runtime, **hooks
                     )
                 self._executors[key] = executor
             return executor
@@ -256,16 +282,21 @@ class CompiledPipeline:
     ) -> np.ndarray:
         """Run quantized patch-based inference on a batch ``(N, C, H, W)``.
 
-        A one-shot batch has no frame history, so the ``stale_halo`` tier
-        serves exactly the same bits as ``exact`` here; the ``displaced``
-        tier is a pipeline-parallel schedule and is rejected (drive it
-        through :class:`~repro.distributed.PipelineParallelScheduler`).
+        A single ``(C, H, W)`` sample returns its unbatched output.  Any other
+        rank, a wrong sample shape or a NaN/Inf value raises
+        :class:`ValueError` before any work runs.  A one-shot batch has no
+        frame history, so the ``stale_halo`` tier serves exactly the same bits
+        as ``exact`` here; the ``displaced`` tier is a pipeline-parallel
+        schedule and is rejected (drive it through
+        :class:`~repro.distributed.PipelineParallelScheduler`).
         """
         self._reject_displaced(policy, "CompiledPipeline.infer")
+        batch, single = _as_input_batch(x, self.graph.input_shape)
         try:
-            return self.executor(policy, runtime).forward(x)
+            output = self.executor(policy, runtime).forward(batch)
         finally:
             self._clear_layer_caches()
+        return output[0] if single else output
 
     __call__ = infer
 

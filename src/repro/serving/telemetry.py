@@ -1,9 +1,10 @@
 """Serving telemetry: per-request latency, queue depth, batching and caching.
 
-The engine records one :class:`RequestRecord` per completed request plus the
-batch sizes it executed and samples of the queue depth; :meth:`snapshot`
-aggregates them into the numbers the throughput benchmark (and an operator)
-cares about — requests/sec, p50/p99 latency, mean batch size, cache hit rate.
+The engine records one :class:`RequestRecord` per completed request, a count
+of the requests whose batch raised, the batch sizes it executed and samples of
+the queue depth; :meth:`snapshot` aggregates them into the numbers the
+throughput benchmark (and an operator) cares about — requests/sec, p50/p99
+latency, failed requests, mean batch size, cache hit rate.
 
 The recorder is thread-safe and append-only; ``snapshot()`` is cheap enough
 to call while traffic is flowing.
@@ -67,6 +68,9 @@ class TelemetrySnapshot:
     stream_drift_samples: int = 0
     stream_max_drift_abs: float = 0.0
     stream_max_drift_rms: float = 0.0
+    #: Requests whose micro-batch raised (no :class:`RequestRecord` exists
+    #: for them; ``num_requests`` counts completed requests only).
+    requests_failed: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -100,6 +104,7 @@ class TelemetryRecorder:
         self._stream_drift_samples = 0
         self._stream_max_drift_abs = 0.0
         self._stream_max_drift_rms = 0.0
+        self._requests_failed = 0
 
     # ------------------------------------------------------------- recording
     def record_request(self, record: RequestRecord, completed_at: float) -> None:
@@ -111,6 +116,11 @@ class TelemetryRecorder:
                 self._first_seconds = started
             if self._last_seconds is None or completed_at > self._last_seconds:
                 self._last_seconds = completed_at
+
+    def record_failed(self, count: int) -> None:
+        """Count ``count`` requests that failed (their batch raised)."""
+        with self._lock:
+            self._requests_failed += count
 
     def record_batch(self, batch_size: int) -> None:
         """Count one executed micro-batch of ``batch_size`` requests."""
@@ -168,6 +178,7 @@ class TelemetryRecorder:
             stream_stale = self._stream_stale
             drift_samples = self._stream_drift_samples
             drift_abs, drift_rms = self._stream_max_drift_abs, self._stream_max_drift_rms
+            failed = self._requests_failed
 
         totals = [r.total_seconds for r in records]
         wall = (last - first) if (first is not None and last is not None) else 0.0
@@ -203,4 +214,5 @@ class TelemetryRecorder:
             stream_drift_samples=drift_samples,
             stream_max_drift_abs=drift_abs,
             stream_max_drift_rms=drift_rms,
+            requests_failed=failed,
         )

@@ -28,10 +28,13 @@ and drift telemetry samples the deviation from the exact path every
 golden-pinned error bounds.
 
 Any :class:`~repro.patch.executor.PatchExecutor` works as the backing
-executor: sequential, the patch-parallel pool, or the multi-device
-distributed executor — the latter re-executes per shard, so devices owning no
-dirty patch do no work for the frame (see
-:meth:`~repro.distributed.DistributedExecutor.compute_tiles`).
+executor: sequential, or the sharded
+:class:`~repro.distributed.DistributedExecutor` that serves both the
+``threads(n)`` host placement and a device cluster — it re-executes per
+shard, so workers owning no dirty patch do no work for the frame (see
+:meth:`~repro.distributed.DistributedExecutor.compute_tiles`).  To observe
+which branches a frame re-executes, wrap ``run_branch`` on an executor built
+with ``backend="loop"``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 import math
 
 from ..patch.analysis import branch_macs
-from ..patch.executor import PatchExecutor
+from ..patch.executor import PatchExecutor, _as_input_batch
 from ..patch.stale import owned_input_region
 from .diff import changed_mask, dirty_branch_ids
 
@@ -279,26 +282,20 @@ class StreamSession:
 
         ``frame`` is a single ``(C, H, W)`` sample (returning the unbatched
         output) or a one-sample ``(1, C, H, W)`` batch (returning the batched
-        output).  The first frame after construction or :meth:`reset` is a
-        full recomputation; later frames reuse every clean branch.
+        output); any other shape and any NaN/Inf value raise
+        :class:`ValueError` before the session state changes.  The first
+        frame after construction or :meth:`reset` is a full recomputation;
+        later frames reuse every clean branch.
         """
         if self._closed:
             raise RuntimeError(
                 "this StreamSession is closed; open a new stream to process frames"
             )
         started = time.perf_counter()
-        x = np.asarray(frame, dtype=np.float32)
-        single = x.ndim == 3
-        if single:
-            x = x[None]
-        if x.ndim != 4 or x.shape[0] != 1:
+        x, single = _as_input_batch(frame, self.plan.graph.input_shape)
+        if x.shape[0] != 1:
             raise ValueError(
                 f"a stream frame is one sample, got array of shape {np.shape(frame)}"
-            )
-        if tuple(x.shape[1:]) != tuple(self.plan.graph.input_shape):
-            raise ValueError(
-                f"frame shape {tuple(x.shape[1:])} does not match pipeline "
-                f"input {tuple(self.plan.graph.input_shape)}"
             )
 
         if self._previous is None or self._stitched is None:

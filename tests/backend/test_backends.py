@@ -2,9 +2,8 @@
 
 Covers backend selection (names, ``REPRO_BACKEND``, defaults), the scratch
 arena's reuse and thread-locality guarantees, and the dispatch rules the
-executor applies — most importantly the fallback to the loop reference when
-``run_branch`` is overridden, which is what keeps instrumentation-style tests
-(and subclasses) observing every branch.
+executor applies: dispatch always goes through the configured backend, so
+instrumentation that wraps ``run_branch`` runs under ``backend="loop"``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from repro.backend import (
     available_backends,
     make_backend,
 )
+from repro.distributed import DistributedExecutor
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
-from repro.serving.parallel import ParallelPatchExecutor
+from repro.serving.pipeline import _host_cluster
 
 
 @pytest.fixture
@@ -144,8 +144,8 @@ class TestScratchArena:
 
 # ----------------------------------------------------------------- dispatch
 class TestDispatchRules:
-    def test_run_branch_monkeypatch_falls_back_to_loop(self, small_plan, small_input):
-        with PatchExecutor(small_plan, backend="vectorized") as executor:
+    def test_loop_backend_observes_every_branch(self, small_plan, small_input):
+        with PatchExecutor(small_plan, backend="loop") as executor:
             reference = executor.forward(small_input)
             observed = []
             original = executor.run_branch
@@ -155,25 +155,8 @@ class TestDispatchRules:
                 return original(branch, x)
 
             executor.run_branch = spy
-            assert isinstance(executor._active_backend(), LoopBackend)
             assert np.array_equal(executor.forward(small_input), reference)
             assert sorted(observed) == [b.patch_id for b in small_plan.branches]
-
-    def test_run_branch_subclass_falls_back_to_loop(self, small_plan, small_input):
-        calls = []
-
-        class Instrumented(PatchExecutor):
-            def run_branch(self, branch, x):
-                calls.append(branch.patch_id)
-                return super().run_branch(branch, x)
-
-        with Instrumented(small_plan) as instrumented, PatchExecutor(small_plan) as plain:
-            assert isinstance(instrumented._active_backend(), LoopBackend)
-            assert np.array_equal(
-                instrumented.forward(small_input), plain.forward(small_input)
-            )
-            assert calls  # every branch was observed
-        assert sorted(calls) == [b.patch_id for b in small_plan.branches]
 
     def test_kernel_backend_is_in_process(self, small_plan):
         with PatchExecutor(small_plan, backend="multiprocess") as executor:
@@ -201,37 +184,28 @@ class TestDispatchRules:
 
 # ----------------------------------------------------------------- parallel
 class TestParallelChunking:
+    """threads(n) chunks are the host shards of the sharded executor."""
+
     def test_chunks_cover_in_order(self, small_plan):
-        with ParallelPatchExecutor(small_plan, max_workers=3) as executor:
-            ids = list(range(8))
-            chunks = executor._chunks(ids)
+        with DistributedExecutor(small_plan, _host_cluster(small_plan, 3)) as executor:
+            chunks = executor.shard_plan.assignment()
             assert len(chunks) == 3
-            assert [i for chunk in chunks for i in chunk] == ids
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
+            assert all(chunk == sorted(chunk) for chunk in chunks)
+            covered = sorted(i for chunk in chunks for i in chunk)
+            assert covered == [b.patch_id for b in small_plan.branches]
 
-    def test_chunks_never_exceed_ids(self, small_plan):
-        with ParallelPatchExecutor(small_plan, max_workers=8) as executor:
-            chunks = executor._chunks([0, 1, 2])
-            assert len(chunks) == 3
-            assert all(len(chunk) == 1 for chunk in chunks)
-
-    def test_small_requests_run_inline(self, small_plan, small_input):
-        with ParallelPatchExecutor(
-            small_plan, max_workers=4, inline_threshold=2
+    def test_chunks_never_exceed_ids(self, small_plan, small_input):
+        num_branches = small_plan.num_branches
+        with DistributedExecutor(
+            small_plan, _host_cluster(small_plan, num_branches + 4)
         ) as executor:
-            executor.compute_tiles(small_input, [0, 1])
-            assert executor._pool is None  # never paid the pool hop
-
-    def test_above_threshold_uses_pool(self, small_plan, small_input):
-        ids = [b.patch_id for b in small_plan.branches]
-        assert len(ids) >= 3  # a 2x2 grid: enough to clear the threshold
-        with ParallelPatchExecutor(
-            small_plan, max_workers=2, inline_threshold=1
-        ) as executor:
-            tiles = executor.compute_tiles(small_input, ids)
-            assert executor._pool is not None
-            assert [b.patch_id for b, _ in tiles] == ids
+            chunks = executor.shard_plan.assignment()
+            assert all(len(chunk) <= 1 for chunk in chunks)
+            assert sum(len(chunk) for chunk in chunks) == num_branches
+            with PatchExecutor(small_plan) as sequential:
+                assert np.array_equal(
+                    executor.forward(small_input), sequential.forward(small_input)
+                )
 
 
 # -------------------------------------------------------------- multiprocess

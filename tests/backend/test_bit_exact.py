@@ -3,7 +3,7 @@
 The contract pinned here is the one :mod:`repro.backend` documents: every
 backend produces the exact same output bytes as the per-branch loop
 reference — on both golden zoo models, across all four execution styles
-(sequential, patch-parallel, distributed, streaming), and on random small
+(sequential, threads host shards, distributed, streaming), and on random small
 graphs via the property sweep.  ``np.array_equal`` throughout: no tolerances,
 the comparison is bitwise.
 """

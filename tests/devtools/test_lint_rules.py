@@ -257,11 +257,11 @@ class TestUnownedCloseable:
     def test_project_executor_types_covered(self):
         findings = lint(
             """
-            from repro.serving import ParallelPatchExecutor
+            from repro.distributed import DistributedExecutor
 
-            def leak():
-                ex = ParallelPatchExecutor(num_workers=2)
-                ex.map(None, [])
+            def leak(plan, cluster, x):
+                ex = DistributedExecutor(plan, cluster)
+                ex.forward(x)
             """,
             rules=["REP003"],
         )

@@ -11,7 +11,8 @@ from repro.distributed import DistributedExecutor, PipelineParallelScheduler, Sh
 from repro.hardware import make_cluster
 from repro.patch import PatchExecutor, build_patch_plan
 from repro.runtime import ExecutionPolicy, Placement, cluster
-from repro.serving import InferenceEngine, ParallelPatchExecutor
+from repro.serving import InferenceEngine
+from repro.serving.pipeline import _host_cluster
 
 
 def test_plain_plan_distributed_matches_sequential(residual_graph, rng):
@@ -38,9 +39,9 @@ def test_requires_cluster_or_shard_plan(residual_graph):
 
 @pytest.mark.parametrize("model_name,resolution", [("mobilenetv2", 32), ("mcunet", 48)])
 def test_quantized_distributed_bit_identical_on_zoo_models(model_name, resolution, rng):
-    """Acceptance: DistributedExecutor output == single-device
-    ParallelPatchExecutor == sequential PatchExecutor, under the full QuantMCU
-    quantization, on two zoo models."""
+    """Acceptance: DistributedExecutor output over device clusters == over
+    host shards (the threads placement) == sequential PatchExecutor, under
+    the full QuantMCU quantization, on two zoo models."""
     _, pipeline, result = quantize_zoo_model(model_name=model_name, resolution=resolution)
 
     branch_hook, suffix_hook = pipeline.make_hooks(result)
@@ -49,8 +50,11 @@ def test_quantized_distributed_bit_identical_on_zoo_models(model_name, resolutio
         sequential = PatchExecutor(
             result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook
         ).forward(x)
-        with ParallelPatchExecutor(
-            result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook, max_workers=4
+        with DistributedExecutor(
+            result.plan,
+            _host_cluster(result.plan, 4),
+            branch_hook=branch_hook,
+            suffix_hook=suffix_hook,
         ) as parallel:
             single_node = parallel.forward(x)
         for num_devices in (2, 3):

@@ -21,7 +21,6 @@ import pytest
 from repro.hardware.cluster import make_cluster
 from repro.runtime import ExecutionPolicy, Placement, cluster, threads
 from repro.serving import InferenceEngine, compile_pipeline
-from repro.serving.parallel import ParallelPatchExecutor
 from repro.distributed import DistributedExecutor
 
 from fixtures import quantize_zoo_model
@@ -55,8 +54,8 @@ class TestPipelineShims:
             with pytest.raises(TypeError, match=removed):
                 compiled.executor(**{removed: value})
         modern = compiled.executor(policy=ExecutionPolicy(placement=threads(2)))
-        assert isinstance(modern, ParallelPatchExecutor)
-        assert modern.max_workers == 2
+        assert isinstance(modern, DistributedExecutor)
+        assert modern.num_devices == 2
 
     def test_executor_cluster_kwarg(self, compiled):
         spec = make_cluster("stm32h743", 2)

@@ -19,7 +19,7 @@ from repro.distributed.workers import DeviceShard
 from repro.hardware.cluster import make_cluster
 from repro.patch.executor import PatchExecutor
 from repro.runtime import ExecutionPolicy, Runtime, RuntimeClosed, threads
-from repro.serving.parallel import ParallelPatchExecutor
+from repro.serving.pipeline import _host_cluster
 
 from fixtures import quantize_and_compile
 
@@ -37,16 +37,21 @@ def frame(compiled):
     return rng.standard_normal((1, *compiled.plan.graph.input_shape)).astype(np.float32)
 
 
+def _host_shards(plan, runtime=None):
+    """The executor behind ``threads(2)``: two host shards."""
+    return DistributedExecutor(plan, cluster=_host_cluster(plan, 2), runtime=runtime)
+
+
 def _closeables(compiled):
     plan = compiled.plan
     return {
         "sequential": lambda: PatchExecutor(plan),
-        "parallel": lambda: ParallelPatchExecutor(plan, max_workers=2),
+        "parallel": lambda: _host_shards(plan),
         "distributed": lambda: DistributedExecutor(
             plan, cluster=make_cluster("stm32h743", 2)
         ),
         "device_shard": lambda: DeviceShard(
-            0, plan.branches[:1], run_branch=lambda branch, x: x
+            0, plan.branches[:1], run_branches=lambda x, branches: []
         ),
         "runtime": Runtime,
         "stream_session": compiled.open_stream,
@@ -104,14 +109,14 @@ def test_pipeline_close_with_live_sessions_is_safe(compiled, frame):
 
 def test_close_with_inflight_futures_drains(compiled, frame):
     runtime = Runtime()
-    executor = ParallelPatchExecutor(compiled.plan, max_workers=2, runtime=runtime)
+    executor = _host_shards(compiled.plan, runtime=runtime)
     reference = PatchExecutor(compiled.plan)
     try:
         out = executor.forward(frame)
         np.testing.assert_array_equal(out, reference.forward(frame))
     finally:
         reference.close()
-        # wait=True joins the worker threads with any submitted chunks done.
+        # wait=True joins the worker threads with any submitted shards done.
         runtime.close(wait=True)
     assert runtime.closed
 
@@ -121,7 +126,7 @@ def test_leased_handle_after_runtime_close_raises(compiled, frame, name):
     runtime = Runtime(name="contract")
     plan = compiled.plan
     if name == "parallel":
-        executor = ParallelPatchExecutor(plan, max_workers=2, runtime=runtime)
+        executor = _host_shards(plan, runtime=runtime)
     else:
         executor = DistributedExecutor(
             plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
@@ -138,7 +143,7 @@ def test_injected_runtime_is_not_closed_by_tenant(compiled, frame, name):
     with Runtime() as runtime:
         plan = compiled.plan
         if name == "parallel":
-            executor = ParallelPatchExecutor(plan, max_workers=2, runtime=runtime)
+            executor = _host_shards(plan, runtime=runtime)
         else:
             executor = DistributedExecutor(
                 plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
@@ -155,7 +160,7 @@ def test_injected_runtime_is_not_closed_by_tenant(compiled, frame, name):
 
 def test_one_runtime_close_releases_everything(compiled, frame):
     runtime = Runtime()
-    parallel = ParallelPatchExecutor(compiled.plan, max_workers=2, runtime=runtime)
+    parallel = _host_shards(compiled.plan, runtime=runtime)
     distributed = DistributedExecutor(
         compiled.plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
     )

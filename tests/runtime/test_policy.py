@@ -20,7 +20,7 @@ from repro.runtime import (
     local,
     threads,
 )
-from repro.serving import InferenceEngine, ParallelPatchExecutor
+from repro.serving import InferenceEngine
 
 
 def make_cluster(num_devices=2):
@@ -183,8 +183,8 @@ class TestResolve:
     def test_legacy_parallel_maps_to_threads(self, compiled):
         # pipeline.infer(x, parallel=True, max_workers=3) is now:
         executor = compiled.executor(policy=ExecutionPolicy(placement=threads(3)))
-        assert isinstance(executor, ParallelPatchExecutor)
-        assert executor.max_workers == 3
+        assert isinstance(executor, DistributedExecutor)
+        assert executor.num_devices == 3
 
     def test_legacy_parallel_patches_maps_to_threads(self, compiled, frame):
         # InferenceEngine(parallel_patches=True) is now:
@@ -192,7 +192,8 @@ class TestResolve:
         engine = InferenceEngine(compiled, batch_timeout_s=0.001, policy=policy)
         try:
             np.testing.assert_array_equal(engine.infer(frame[0]), compiled.infer(frame)[0])
-            assert isinstance(compiled.executor(policy=engine.policy), ParallelPatchExecutor)
+            assert isinstance(compiled.executor(policy=engine.policy), DistributedExecutor)
+            assert engine.cluster is None  # host shards are not a modelled cluster
             assert not hasattr(engine, "parallel_patches")
         finally:
             engine.close()

@@ -36,10 +36,11 @@ def test_two_pipelines_share_one_thread_pool(artifact, frame):
         np.testing.assert_array_equal(a.infer(frame, policy=THREADS2), expected)
         np.testing.assert_array_equal(b.infer(frame, policy=THREADS2), expected)
         stats = runtime.stats()
-        # Both pipelines lease the SAME keyed pool: one pool, two leases.
-        assert stats.pool_keys == (("patch-worker", 2),)
-        assert stats.thread_pools == 1
-        assert stats.active_leases == 2
+        # Both pipelines lease the SAME keyed per-shard pools: one serial
+        # pool per host shard, each leased by both pipelines.
+        assert stats.pool_keys == (("device-0", 1), ("device-1", 1))
+        assert stats.thread_pools == 2
+        assert stats.active_leases == 4
         a.close()
         b.close()
         assert runtime.stats().active_leases == 0
@@ -57,8 +58,8 @@ def test_two_engines_share_one_runtime(artifact, frame):
         out_b = engine_b.infer(frame[0])
         np.testing.assert_array_equal(out_a, out_b)
         stats = runtime.stats()
-        assert stats.thread_pools == 1
-        assert stats.pool_keys == (("patch-worker", 2),)
+        assert stats.thread_pools == 2
+        assert stats.pool_keys == (("device-0", 1), ("device-1", 1))
     finally:
         engine_a.close()
         engine_b.close()

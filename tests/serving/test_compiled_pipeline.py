@@ -59,10 +59,10 @@ def test_alternating_worker_counts_reuse_one_executor_each(quantized_mobilenet, 
             policy = policies[i % 2]
             assert np.array_equal(compiled.infer(x, policy=policy), reference)
             executor = compiled.executor(policy=policy)
-            seen, pool = first.setdefault(i % 2, (executor, executor._pool))
+            seen, workers = first.setdefault(i % 2, (executor, executor._workers))
             assert executor is seen
-            assert executor._pool is pool
-        assert [first[k][0].max_workers for k in (0, 1)] == [2, 3]
+            assert executor._workers is workers
+        assert [first[k][0].num_devices for k in (0, 1)] == [2, 3]
         # The default local executor plus one per worker count.
         assert len(_held_executors(compiled)) == 3
     finally:
@@ -127,3 +127,29 @@ def test_dynamic_mode_rejected(tiny_mobilenet, rng):
     result = pipeline.run(calib)
     with pytest.raises(ValueError, match="static"):
         compile_pipeline(pipeline, result)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infer_rejects_non_finite_input(compiled_mobilenet, bad):
+    """Regression: an all-NaN/Inf input used to come back as finite logits
+    (the fake-quantizers clamp it), a confident answer to garbage."""
+    x = np.full((1, 3, 32, 32), bad, dtype=np.float32)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        compiled_mobilenet.infer(x)
+    partly = np.zeros((2, 3, 32, 32), dtype=np.float32)
+    partly[1, 2, 5, 7] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        compiled_mobilenet.infer(partly)
+
+
+def test_infer_checks_rank_and_shape(compiled_mobilenet, rng):
+    """Regression: a 16x16 input failed deep in the patch stage ("could not
+    broadcast") and a 3-D input raised IndexError."""
+    with pytest.raises(ValueError, match="does not match"):
+        compiled_mobilenet.infer(np.zeros((1, 3, 16, 16), dtype=np.float32))
+    for shape in [(32, 32), (1, 1, 3, 32, 32), (1, 4, 32, 32)]:
+        with pytest.raises(ValueError, match="does not match"):
+            compiled_mobilenet.infer(np.zeros(shape, dtype=np.float32))
+    # One (C, H, W) sample is served like an engine request: unbatched output.
+    x = rng.standard_normal((3, 32, 32)).astype(np.float32)
+    assert np.array_equal(compiled_mobilenet.infer(x), compiled_mobilenet.infer(x[None])[0])

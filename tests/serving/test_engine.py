@@ -433,3 +433,42 @@ def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
     finally:
         engine.close()
         compiled_mobilenet.close()
+
+
+def test_bad_request_fails_alone_at_submit(compiled_mobilenet, rng):
+    """A non-finite or misshapen request is rejected by submit() itself, so
+    it never joins (or poisons) a micro-batch with healthy requests."""
+    x = rng.standard_normal((3, 32, 32)).astype(np.float32)
+    with InferenceEngine(compiled_mobilenet, max_batch_size=4, batch_timeout_s=0.01) as engine:
+        good = engine.submit(x)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            engine.submit(np.full((3, 32, 32), np.nan, dtype=np.float32))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            engine.submit(np.full((3, 32, 32), np.inf, dtype=np.float32))
+        with pytest.raises(ValueError, match="does not match"):
+            engine.submit(np.zeros((32, 32), dtype=np.float32))
+        assert np.allclose(good.result(timeout=30), compiled_mobilenet.infer(x), **BATCH_SIZE_TOL)
+    snapshot = engine.telemetry.snapshot()
+    assert snapshot.num_requests == 1
+    assert snapshot.requests_failed == 0
+
+
+def test_failed_flush_is_counted_in_telemetry(compiled_mobilenet, rng, monkeypatch):
+    """Every request of a batch that raised is counted as failed; before,
+    the except path returned without recording anything."""
+    x = rng.standard_normal((3, 32, 32)).astype(np.float32)
+
+    def broken_infer(*args, **kwargs):
+        raise RuntimeError("flush exploded")
+
+    with InferenceEngine(compiled_mobilenet, max_batch_size=3, batch_timeout_s=5.0) as engine:
+        monkeypatch.setattr(compiled_mobilenet, "infer", broken_infer)
+        futures = [engine.submit(x) for _ in range(3)]  # one full batch
+        for future in futures:
+            with pytest.raises(RuntimeError, match="flush exploded"):
+                future.result(timeout=30)
+        monkeypatch.undo()
+        engine.submit(x).result(timeout=30)
+    snapshot = engine.telemetry.snapshot()
+    assert snapshot.requests_failed == 3
+    assert snapshot.num_requests == 1

@@ -130,6 +130,22 @@ def test_frame_shape_validation(zoo_compiled):
     assert session.process(frame).shape[0] == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_is_rejected_without_touching_state(zoo_compiled, bad):
+    """Regression: an all-NaN/Inf frame used to be served as finite logits."""
+    params, compiled = zoo_compiled
+    session = compiled.open_stream()
+    video = _video(params["resolution"], num_frames=2)
+    first = session.process(video.frames[0])
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        session.process(np.full_like(video.frames[1], bad))
+    assert session.num_frames == 1
+    # The cache still holds frame 0, so repeating it reuses every branch.
+    assert np.array_equal(session.process(video.frames[0]), first)
+    assert session.last_frame.executed_branches == 0
+    session.close()
+
+
 def test_failed_frame_resets_the_cache(zoo_compiled):
     """A frame that fails mid-serve must not leave half-updated tiles behind."""
     params, compiled = zoo_compiled
@@ -171,10 +187,13 @@ def test_frame_history_is_capped_but_totals_are_not(zoo_compiled):
 def test_distributed_reuse_is_per_shard(zoo_compiled):
     """Only devices owning dirty patches run branches; clean shards stay idle."""
     params, compiled = zoo_compiled
+    # Instrumentation observes every branch under the loop backend, the one
+    # backend that calls run_branch per branch.
     executor = compiled.executor(
-        policy=ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+        policy=ExecutionPolicy(
+            placement=cluster(make_cluster("stm32h743", 2)), backend="loop"
+        )
     )
-    executor.close()  # drop any workers bound to the unwrapped run_branch
     executed: list[int] = []
     original = executor.run_branch
 
@@ -195,7 +214,6 @@ def test_distributed_reuse_is_per_shard(zoo_compiled):
         assert sorted(executed) == list(session.last_frame.dirty_branches)
     finally:
         executor.run_branch = original
-        executor.close()  # drop workers bound to the recording wrapper
 
 
 def test_close_shuts_pools_revived_by_live_sessions(zoo_compiled):
@@ -212,12 +230,12 @@ def test_close_shuts_pools_revived_by_live_sessions(zoo_compiled):
     compiled.infer(frame[None], policy=ExecutionPolicy(placement=threads(2)))
     assert compiled.executor(policy=ExecutionPolicy(placement=threads(2))) is not held
     assert compiled.executor(policy=three) is held
-    # The live session keeps (lazily re-creating) the pool it works through.
+    # The live session keeps (lazily re-creating) the workers it runs on.
     session.process(frame)
-    session.process(frame + 1.0)  # force real branch work through the pool
-    assert held._pool is not None
+    session.process(frame + 1.0)  # force real branch work through the workers
+    assert held._workers is not None
     compiled.close()
-    assert held._pool is None  # close() reached the session's pool too
+    assert held._workers is None  # close() reached the session's workers too
 
 
 # ----------------------------------------------------------------- diffing
